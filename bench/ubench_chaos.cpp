@@ -53,7 +53,7 @@ ReliabilityOptions bench_reliability() {
 
 /// Keep servicing the wire after this rank's own work is flushed so a
 /// peer whose last ack chaos ate can still finish its flush.
-void linger(ReliableComm<SimComm>& reliable) {
+void linger(ReliableComm& reliable) {
   pblpar::mp::RawMessage raw;
   while (reliable.recv_raw_timed(pblpar::mp::kAnySource, /*tag=*/1 << 28,
                                  /*timeout_s=*/2.0, &raw)) {
@@ -102,7 +102,7 @@ RunTrace run_drop_level(double drop, int ranks, int messages_per_sender,
   SimWorld::run(
       ranks,
       [&](SimComm& comm) {
-        ReliableComm<SimComm> reliable(comm, bench_reliability());
+        ReliableComm reliable(comm, bench_reliability());
         if (comm.rank() != 0) {
           std::vector<double> payload(
               static_cast<std::size_t>(doubles_per_message));

@@ -73,50 +73,35 @@ class DistJob {
     return *this;
   }
 
-  template <class CommT>
+  /// With options.reliability.enabled the whole job — engine protocol,
+  /// shuffle and replication collectives — runs over one ReliableComm
+  /// around `comm`, so every phase shares one sequence state per link.
   std::vector<std::pair<K2, VOut>> run(
-      CommT& comm, const std::vector<std::pair<K1, V1>>& inputs,
+      mp::Endpoint& comm, const std::vector<std::pair<K1, V1>>& inputs,
       const ClusterOptions& options = {}, const FaultPlan* faults = nullptr,
       ClusterProfile* profile = nullptr) const {
-    if constexpr (!is_reliable_comm_v<CommT>) {
-      if (options.reliability.enabled) {
-        // Wrap once for the whole job — engine protocol, shuffle and
-        // replication collectives share one sequence state per link (the
-        // reliability envelope is not self-describing, so the layers
-        // cannot be wrapped piecemeal). run_cluster_tasks sees an
-        // already-wrapped comm and does not wrap again.
-        ReliableComm<CommT> reliable(comm, options.reliability);
-        try {
-          auto output = run_impl(reliable, inputs, options, faults, profile);
-          reliable.flush();
-          if (profile != nullptr && comm.rank() == 0) {
-            profile->retry = reliable.retry_stats();
-          }
-          return output;
-        } catch (...) {
-          // Even a cancelled/failed rank drains its unacked sends: a
-          // peer may still be blocked on a message chaos ate whose
-          // retransmit only we can provide.
-          reliable.flush();
-          if (profile != nullptr && comm.rank() == 0) {
-            profile->retry = reliable.retry_stats();
-          }
-          throw;
-        }
-      }
+    detail::ReliabilityScope scope(comm, options.reliability);
+    try {
+      auto output = run_impl(scope.endpoint(), inputs, options, faults,
+                             profile);
+      scope.close(/*drain=*/true, profile);
+      return output;
+    } catch (...) {
+      // Even a cancelled/failed rank drains its unacked sends: a peer
+      // may still be blocked on a message chaos ate whose retransmit only
+      // we can provide.
+      scope.close(/*drain=*/true, profile);
+      throw;
     }
-    return run_impl(comm, inputs, options, faults, profile);
   }
 
  private:
   using Bucket = std::vector<std::pair<K2, V2>>;
 
-  template <class CommT>
   std::vector<std::pair<K2, VOut>> run_impl(
-      CommT& comm, const std::vector<std::pair<K1, V1>>& inputs,
+      mp::Endpoint& comm, const std::vector<std::pair<K1, V1>>& inputs,
       const ClusterOptions& options, const FaultPlan* faults,
       ClusterProfile* profile) const {
-    using Traits = TransportTraits<CommT>;
     util::require(map_fn_ != nullptr, "DistJob::run: map function not set");
     util::require(reduce_fn_ != nullptr,
                   "DistJob::run: reduce function not set");
@@ -149,7 +134,7 @@ class DistJob {
       return map_task(ctx, payload, inputs, reducers);
     };
     ClusterRunResult engine_result =
-        run_cluster_tasks(comm, tasks, task_fn, options, faults, profile);
+        detail::run_engine(comm, tasks, task_fn, options, faults, profile);
 
     // --- Cancellation barrier: a cancelled engine run has holes in its
     // result set, so the shuffle below would decode garbage. Only armed
@@ -226,8 +211,7 @@ class DistJob {
       for (const auto& [key, value] : bucket) {
         grouped[key].push_back(value);
       }
-      Traits::charge_ops(comm, reduce_cost_ops_ *
-                                   static_cast<double>(bucket.size()));
+      comm.charge_ops(reduce_cost_ops_ * static_cast<double>(bucket.size()));
       for (const auto& [key, values] : grouped) {
         my_output.emplace_back(key, reduce_fn_(key, values));
       }

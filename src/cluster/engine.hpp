@@ -1,26 +1,20 @@
 #pragma once
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <limits>
 #include <memory>
-#include <sstream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "cluster/fault.hpp"
 #include "cluster/reliable.hpp"
 #include "cluster/wire.hpp"
-#include "mp/comm.hpp"
+#include "mp/endpoint.hpp"
 #include "mp/sim_world.hpp"
 #include "rt/cancel.hpp"
 #include "rt/trace.hpp"
-#include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace pblpar::cluster {
 
@@ -53,36 +47,14 @@ struct ClusterCheckpoint {
 
   bool empty() const { return bytes.empty(); }
 
-  /// Decoded header fields (0 on an empty checkpoint).
-  int task_count() const {
-    if (bytes.empty()) {
-      return 0;
-    }
-    Reader reader(bytes);
-    reader.u32();  // magic, validated on restore
-    reader.u32();  // version
-    return static_cast<int>(reader.u32());
-  }
-
-  int completed_tasks() const {
-    if (bytes.empty()) {
-      return 0;
-    }
-    Reader reader(bytes);
-    reader.u32();
-    reader.u32();
-    reader.u32();
-    return static_cast<int>(reader.u32());
-  }
+  /// Decoded header fields (0 on an empty checkpoint). A malformed
+  /// header throws util::PreconditionError.
+  int task_count() const;
+  int completed_tasks() const;
 };
 
-namespace detail {
-constexpr std::uint32_t kCheckpointMagic = 0x5042434BU;  // "PBCK"
-constexpr std::uint32_t kCheckpointVersion = 1;
-}  // namespace detail
-
 /// Tuning knobs of one engine run. Times are seconds on the transport's
-/// clock (virtual on SimComm, steady on Comm).
+/// clock (Endpoint::now: virtual on SimComm, steady on Comm).
 struct ClusterOptions {
   /// A busy worker emits a heartbeat at most this often (paced by
   /// TaskContext::progress calls).
@@ -160,45 +132,7 @@ struct ClusterOptions {
   /// compares false against everything, so an unchecked NaN deadline
   /// would silently never fire), intervals ordered, attempt budgets
   /// positive. Checked on every rank by run_cluster_tasks.
-  void validate() const {
-    util::require(std::isfinite(heartbeat_interval_s) &&
-                      std::isfinite(heartbeat_timeout_s) &&
-                      heartbeat_interval_s > 0.0 &&
-                      heartbeat_timeout_s > heartbeat_interval_s,
-                  "ClusterOptions: need 0 < heartbeat_interval_s < "
-                  "heartbeat_timeout_s, both finite");
-    util::require(std::isfinite(task_timeout_s) && task_timeout_s >= 0.0,
-                  "ClusterOptions: task_timeout_s must be finite and >= 0");
-    util::require(
-        std::isfinite(speculation_age_s) && speculation_age_s >= 0.0,
-        "ClusterOptions: speculation_age_s must be finite and >= 0");
-    util::require(std::isfinite(tick_s) && tick_s >= 0.0,
-                  "ClusterOptions: tick_s must be finite and >= 0");
-    util::require(std::isfinite(job_deadline_s) && job_deadline_s >= 0.0,
-                  "ClusterOptions: job_deadline_s must be finite and >= 0 "
-                  "(0 = no deadline)");
-    util::require(max_live_attempts >= 1 && max_attempts_per_task >= 1,
-                  "ClusterOptions: attempt limits must be >= 1");
-    reliability.validate();
-    util::require(std::isfinite(checkpoint_interval_s) &&
-                      checkpoint_interval_s >= 0.0,
-                  "ClusterOptions: checkpoint_interval_s must be finite and "
-                  ">= 0");
-    util::require(on_checkpoint == nullptr || checkpoint_interval_s > 0.0,
-                  "ClusterOptions: checkpointing is armed (on_checkpoint "
-                  "set) but checkpoint_interval_s is <= 0");
-    if (restart_from != nullptr && !restart_from->empty()) {
-      util::require(restart_from->bytes.size() >= 4 * sizeof(std::uint32_t),
-                    "ClusterOptions: restart_from checkpoint is truncated");
-      Reader reader(restart_from->bytes);
-      util::require(reader.u32() == detail::kCheckpointMagic,
-                    "ClusterOptions: restart_from is not a cluster "
-                    "checkpoint (bad magic)");
-      util::require(reader.u32() == detail::kCheckpointVersion,
-                    "ClusterOptions: restart_from checkpoint has an "
-                    "unsupported version");
-    }
-  }
+  void validate() const;
 };
 
 /// One master-side scheduling event, timestamped relative to engine
@@ -343,61 +277,12 @@ struct ClusterRunResult {
   std::vector<int> incomplete_tasks;
 };
 
-/// How the engine reads the clock and charges modelled work on each
-/// transport. now() is seconds on the transport's clock.
-template <class CommT>
-struct TransportTraits;
-
-template <>
-struct TransportTraits<mp::Comm> {
-  static constexpr rt::TraceClock kClock = rt::TraceClock::HostSteady;
-  static double now(mp::Comm&) {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-  // Host tasks do real work; modelled charges are meaningless.
-  static void charge_ops(mp::Comm&, double) {}
-  static void charge_seconds(mp::Comm&, double) {}
-};
-
-template <>
-struct TransportTraits<mp::SimComm> {
-  static constexpr rt::TraceClock kClock = rt::TraceClock::SimVirtual;
-  static double now(mp::SimComm& comm) { return comm.context().now(); }
-  static void charge_ops(mp::SimComm& comm, double ops) {
-    if (ops > 0.0) {
-      comm.context().compute(ops);
-    }
-  }
-  static void charge_seconds(mp::SimComm& comm, double seconds) {
-    if (seconds > 0.0) {
-      comm.context().compute(
-          comm.context().spec().us_to_ops(seconds * 1e6));
-    }
-  }
-};
-
-/// The reliability wrapper keeps the wrapped transport's clock and
-/// charging model.
-template <class CommT>
-struct TransportTraits<ReliableComm<CommT>> {
-  static constexpr rt::TraceClock kClock = TransportTraits<CommT>::kClock;
-  static double now(ReliableComm<CommT>& comm) {
-    return TransportTraits<CommT>::now(comm.underlying());
-  }
-  static void charge_ops(ReliableComm<CommT>& comm, double ops) {
-    TransportTraits<CommT>::charge_ops(comm.underlying(), ops);
-  }
-  static void charge_seconds(ReliableComm<CommT>& comm, double seconds) {
-    TransportTraits<CommT>::charge_seconds(comm.underlying(), seconds);
-  }
-};
-
 namespace detail {
 
 /// Engine protocol tags, far above any user tag and distinct from the
-/// negative internal collective tags.
+/// negative internal collective tags. Payloads of Done and Heartbeat
+/// start with [i32 task_id][u64 claim]; Done then carries the result
+/// blob, Assign the task payload blob.
 constexpr int kTagRequest = (1 << 20) + 0;    // worker -> master, empty
 constexpr int kTagDone = (1 << 20) + 1;       // worker -> master
 constexpr int kTagHeartbeat = (1 << 20) + 2;  // worker -> master
@@ -405,851 +290,36 @@ constexpr int kTagAssign = (1 << 20) + 3;     // master -> worker
 constexpr int kTagShutdown = (1 << 20) + 4;   // master -> worker, empty
 constexpr int kTagCancel = (1 << 20) + 5;     // master -> worker, empty
 
-inline std::size_t engine_payload_hash() {
-  return mp::type_hash_of<std::vector<std::byte>>();
-}
+/// The engine on `comm` exactly as given — no reliability wrap. Rank 0
+/// runs the master, every other rank a worker. Callers that already
+/// wrapped the transport for a longer protocol (DistJob) use this;
+/// everyone else calls run_cluster_tasks.
+ClusterRunResult run_engine(mp::Endpoint& comm,
+                            const std::vector<std::vector<std::byte>>& tasks,
+                            const TaskFn& task_fn,
+                            const ClusterOptions& options,
+                            const FaultPlan* faults, ClusterProfile* profile);
 
-/// Internal unwinding signal for an injected worker crash. Caught by
-/// run_worker; never escapes the engine.
-struct WorkerCrashSignal {};
-
-/// Internal unwinding signal for a cooperative job cancellation: the
-/// worker saw the master's Cancel at a progress() poll and abandons the
-/// attempt at that boundary. Caught by run_worker; never escapes.
-struct WorkerCancelSignal {};
-
-template <class CommT>
-void send_request(CommT& comm) {
-  comm.send_raw(0, kTagRequest, engine_payload_hash(), {});
-}
-
-template <class CommT>
-void send_heartbeat(CommT& comm, int task_id, std::uint64_t claim) {
-  Writer writer;
-  writer.i32(task_id);
-  writer.u64(claim);
-  // Heartbeats are periodic liveness hints: a lost one is replaced by
-  // the next, so on a reliable transport they ride fire-and-forget
-  // rather than consuming ack/retransmit budget.
-  if constexpr (requires {
-                  comm.send_raw_fire_and_forget(0, kTagHeartbeat,
-                                                engine_payload_hash(),
-                                                writer.take());
-                }) {
-    comm.send_raw_fire_and_forget(0, kTagHeartbeat, engine_payload_hash(),
-                                  writer.take());
-  } else {
-    comm.send_raw(0, kTagHeartbeat, engine_payload_hash(), writer.take());
-  }
-}
-
-template <class CommT>
-void send_done(CommT& comm, int task_id, std::uint64_t claim,
-               const std::vector<std::byte>& result) {
-  Writer writer;
-  writer.i32(task_id);
-  writer.u64(claim);
-  writer.blob(result);
-  comm.send_raw(0, kTagDone, engine_payload_hash(), writer.take());
-}
-
-template <class CommT>
-void send_assign(CommT& comm, int worker, int task_id, std::uint64_t claim,
-                 const std::vector<std::byte>& payload) {
-  Writer writer;
-  writer.i32(task_id);
-  writer.u64(claim);
-  writer.blob(payload);
-  comm.send_raw(worker, kTagAssign, engine_payload_hash(), writer.take());
-}
-
-template <class CommT>
-void send_shutdown(CommT& comm, int worker) {
-  comm.send_raw(worker, kTagShutdown, engine_payload_hash(), {});
-}
-
-template <class CommT>
-void send_cancel(CommT& comm, int worker) {
-  comm.send_raw(worker, kTagCancel, engine_payload_hash(), {});
-}
-
-struct TaskHeader {
-  int task_id = -1;
-  std::uint64_t claim = 0;
-};
-
-inline TaskHeader parse_header(Reader& reader) {
-  TaskHeader header;
-  header.task_id = reader.i32();
-  header.claim = reader.u64();
-  return header;
-}
-
-/// Master-side state machine. Pull-based: workers Request, the master
-/// replies Assign (possibly much later) or Shutdown; Done and Heartbeat
-/// flow back. A Request from a worker the master believes busy means the
-/// worker's Done was lost — the task is re-queued. Silence past the
-/// heartbeat timeout means the worker is dead.
-template <class CommT>
-class Master {
+/// The one place the cluster tier wraps a transport in ReliableComm.
+/// With ReliabilityOptions::enabled, endpoint() is one wrapper that lives
+/// as long as the scope, so every phase run through it shares one
+/// sequence state per link (the envelope is not self-describing, so
+/// layers cannot be wrapped piecemeal); otherwise it is `comm` itself.
+class ReliabilityScope {
  public:
-  using Traits = TransportTraits<CommT>;
+  ReliabilityScope(mp::Endpoint& comm, const ReliabilityOptions& options);
 
-  Master(CommT& comm, const std::vector<std::vector<std::byte>>& tasks,
-         const ClusterOptions& options, ClusterProfile* profile)
-      : comm_(comm), tasks_(tasks), options_(options), profile_(profile) {
-    options.validate();
-  }
+  mp::Endpoint& endpoint();
 
-  ClusterRunResult run(const TaskFn& task_fn) {
-    const int n = static_cast<int>(tasks_.size());
-    const int size = comm_.size();
-    start_s_ = Traits::now(comm_);
-    results_.assign(static_cast<std::size_t>(n), {});
-    task_states_.assign(static_cast<std::size_t>(n), TaskState{});
-    workers_.assign(static_cast<std::size_t>(size), WorkerState{});
-    remaining_ = n;
-    stats_.tasks = n;
-    stats_.workers = size - 1;
-    if (profile_ != nullptr) {
-      recorder_ = std::make_unique<rt::TraceRecorder>(size, Traits::kClock);
-      recorder_->register_loop(0, "cluster", n);
-    }
-    restore_checkpoint();
-
-    if (size == 1) {
-      run_serial(task_fn);
-    } else {
-      for (int t = 0; t < n; ++t) {
-        if (!task_states_[static_cast<std::size_t>(t)].done) {
-          queue_.push_back(t);
-        }
-      }
-      run_loop();
-      // A worker written off as dead may really be alive — a straggler
-      // that outlived the whole run. Send it a shutdown too: a crashed
-      // worker never reads it, a zombie uses it to leave the protocol
-      // and rejoin the SPMD code after the engine.
-      for (int w = 1; w < size; ++w) {
-        if (workers_[static_cast<std::size_t>(w)].phase == WPhase::Dead) {
-          send_shutdown(comm_, w);
-        }
-      }
-    }
-
-    ClusterRunResult result;
-    if (cancelled_) {
-      // A straggler's Done can still land between the deadline firing
-      // and the drain completing, so incompleteness is judged only now.
-      for (int t = 0; t < n; ++t) {
-        if (!task_states_[static_cast<std::size_t>(t)].done) {
-          result.incomplete_tasks.push_back(t);
-        }
-      }
-      stats_.cancelled_tasks =
-          static_cast<int>(result.incomplete_tasks.size());
-    }
-    // Wind-down checkpoint: capture every result that arrived (even on a
-    // cancelled run), so a master killed right after this run resumes
-    // with nothing lost.
-    maybe_checkpoint(now_rel(), /*force=*/true);
-    finalize_profile();
-    result.results = std::move(results_);
-    result.dead_workers = dead_list();
-    result.is_master = true;
-    result.job_cancelled = cancelled_;
-    return result;
-  }
+  /// Wind down: drain the unacked window when `drain` (a crashed worker
+  /// is fail-stop and must not linger retransmitting), then hand rank
+  /// 0's RetryStats to `profile`. No-op without reliability.
+  void close(bool drain, ClusterProfile* profile);
 
  private:
-  enum class WPhase {
-    Unknown,       // never heard from (exempt from timeouts)
-    Parked,        // sent Request, blocked waiting for our reply
-    Busy,          // executing an assignment
-    Returning,     // sent Done, its next Request is in flight
-    Dead,          // timed out; resurrected if it ever speaks again
-    ShutdownSent,  // told to exit
-  };
-
-  struct Attempt {
-    int worker = -1;
-    std::uint64_t claim = 0;
-    double assigned_s = 0.0;
-    bool live = false;
-    bool speculative = false;
-  };
-
-  struct TaskState {
-    std::vector<Attempt> attempts;
-    bool done = false;
-    bool queued = false;
-  };
-
-  struct WorkerState {
-    WPhase phase = WPhase::Unknown;
-    int task = -1;
-    std::uint64_t claim = 0;
-    double last_heard_s = 0.0;
-  };
-
-  double now_rel() { return Traits::now(comm_) - start_s_; }
-
-  void event(double t_s, int worker, int task, std::uint64_t claim,
-             const char* kind) {
-    if (profile_ != nullptr) {
-      profile_->events.push_back(ClusterEvent{t_s, worker, task, claim, kind});
-    }
-  }
-
-  /// Resume from ClusterOptions::restart_from: mark recorded tasks done
-  /// (copying their result bytes out of the checkpoint) so they are
-  /// never queued. One "restore" event per task, at t=0.
-  void restore_checkpoint() {
-    if (options_.restart_from == nullptr || options_.restart_from->empty()) {
-      return;
-    }
-    Reader reader(options_.restart_from->bytes);
-    util::require(reader.u32() == kCheckpointMagic,
-                  "cluster master: restart_from is not a checkpoint");
-    util::require(reader.u32() == kCheckpointVersion,
-                  "cluster master: restart_from checkpoint version mismatch");
-    const int n = static_cast<int>(reader.u32());
-    util::require(n == static_cast<int>(tasks_.size()),
-                  "cluster master: restart_from checkpoint describes a "
-                  "different task list (task_count mismatch)");
-    const int done = static_cast<int>(reader.u32());
-    for (int i = 0; i < done; ++i) {
-      const int task = reader.i32();
-      const mp::ByteView blob = reader.blob_view();
-      util::require(task >= 0 && task < n,
-                    "cluster master: restart_from checkpoint has an "
-                    "out-of-range task id");
-      TaskState& ts = task_states_[static_cast<std::size_t>(task)];
-      util::require(!ts.done,
-                    "cluster master: restart_from checkpoint records task " +
-                        std::to_string(task) + " done twice");
-      ts.done = true;
-      results_[static_cast<std::size_t>(task)] =
-          mp::Buffer::copy_of(blob.data(), blob.size());
-      --remaining_;
-      ++stats_.restored_tasks;
-      event(0.0, -1, task, 0, "restore");
-    }
-    checkpointed_done_ = done;
-  }
-
-  int done_count() const {
-    return static_cast<int>(tasks_.size()) - remaining_;
-  }
-
-  ClusterCheckpoint make_checkpoint() const {
-    Writer writer;
-    writer.u32(kCheckpointMagic);
-    writer.u32(kCheckpointVersion);
-    writer.u32(static_cast<std::uint32_t>(tasks_.size()));
-    writer.u32(static_cast<std::uint32_t>(done_count()));
-    for (int t = 0; t < static_cast<int>(tasks_.size()); ++t) {
-      const TaskState& ts = task_states_[static_cast<std::size_t>(t)];
-      if (!ts.done) {
-        continue;
-      }
-      writer.i32(t);
-      const mp::Buffer& result = results_[static_cast<std::size_t>(t)];
-      writer.blob(result.view());
-    }
-    ClusterCheckpoint checkpoint;
-    checkpoint.bytes = writer.take();
-    return checkpoint;
-  }
-
-  /// Serialize completed-task state when the interval elapsed and new
-  /// results arrived since the last snapshot (`force` skips both checks
-  /// for the wind-down capture — but still never emits an empty
-  /// zero-progress checkpoint on an unarmed run).
-  void maybe_checkpoint(double now, bool force = false) {
-    if (options_.checkpoint_interval_s <= 0.0) {
-      return;
-    }
-    const int done = done_count();
-    if (done <= checkpointed_done_) {
-      return;  // nothing new to capture
-    }
-    if (!force && now - last_checkpoint_s_ < options_.checkpoint_interval_s) {
-      return;
-    }
-    last_checkpoint_s_ = now;
-    checkpointed_done_ = done;
-    ++stats_.checkpoints;
-    event(now, -1, -1, static_cast<std::uint64_t>(done), "checkpoint");
-    if (options_.on_checkpoint != nullptr) {
-      options_.on_checkpoint(make_checkpoint());
-    }
-  }
-
-  void run_serial(const TaskFn& task_fn) {
-    // Single-rank world: the master executes every task inline. The job
-    // deadline is honoured between tasks — the inline task body has no
-    // Cancel channel to poll.
-    const int n = static_cast<int>(tasks_.size());
-    for (int t = 0; t < n; ++t) {
-      if (task_states_[static_cast<std::size_t>(t)].done) {
-        continue;  // restored from a checkpoint
-      }
-      const bool deadline_hit = options_.job_deadline_s > 0.0 &&
-                                now_rel() >= options_.job_deadline_s;
-      const bool token_hit = options_.cancel.cancel_requested();
-      if (deadline_hit || token_hit) {
-        cancelled_ = true;
-        event(now_rel(), -1, -1, 0,
-              deadline_hit ? "job-deadline" : "job-cancel");
-        return;
-      }
-      maybe_checkpoint(now_rel());
-      const std::uint64_t claim = ++claim_seq_;
-      const double begin_s = now_rel();
-      event(begin_s, 0, t, claim, "assign");
-      ++stats_.attempts;
-      TaskContext ctx(
-          0, t, [this](double ops) { Traits::charge_ops(comm_, ops); },
-          [] {});
-      results_[static_cast<std::size_t>(t)] =
-          task_fn(ctx, t, mp::ByteView(tasks_[static_cast<std::size_t>(t)]));
-      task_states_[static_cast<std::size_t>(t)].done = true;
-      --remaining_;
-      const double end_s = now_rel();
-      event(end_s, 0, t, claim, "done");
-      if (recorder_ != nullptr) {
-        recorder_->record_chunk(0, 0, t, t + 1, claim, begin_s, end_s);
-      }
-    }
-    stats_.completion_s = now_rel();
-  }
-
-  void run_loop() {
-    const double tick = options_.effective_tick_s();
-    for (;;) {
-      mp::RawMessage msg;
-      const bool got =
-          comm_.recv_raw_timed(mp::kAnySource, mp::kAnyTag, tick, &msg);
-      const double now = now_rel();
-      if (got) {
-        dispatch(msg, now);
-      }
-      maybe_cancel(now);
-      maybe_checkpoint(now);
-      check_timeouts(now);
-      drive_idle(now);
-      if (remaining_ == 0 && stats_.completion_s == 0.0 &&
-          stats_.tasks > 0) {
-        stats_.completion_s = now;
-        event(now, -1, -1, 0, "all-done");
-      }
-      if (finished()) {
-        return;
-      }
-      check_liveness(now);
-    }
-  }
-
-  /// Fire the job cancellation once — deadline passed or CancelToken
-  /// tripped: drop the queue, cancel busy workers, shut down parked
-  /// ones. From here on the loop only drains — no assignment, no
-  /// requeue, no all-dead error.
-  void maybe_cancel(double now) {
-    if (cancelled_ || remaining_ == 0) {
-      return;
-    }
-    const bool deadline_hit =
-        options_.job_deadline_s > 0.0 && now >= options_.job_deadline_s;
-    const bool token_hit = options_.cancel.cancel_requested();
-    if (!deadline_hit && !token_hit) {
-      return;
-    }
-    cancelled_ = true;
-    event(now, -1, -1, 0, deadline_hit ? "job-deadline" : "job-cancel");
-    for (const int task : queue_) {
-      task_states_[static_cast<std::size_t>(task)].queued = false;
-    }
-    queue_.clear();
-    for (int w = 1; w < comm_.size(); ++w) {
-      WorkerState& ws = workers_[static_cast<std::size_t>(w)];
-      if (ws.phase == WPhase::Busy) {
-        send_cancel(comm_, w);
-        event(now, w, ws.task, ws.claim, "cancel");
-      } else if (ws.phase == WPhase::Parked) {
-        send_shutdown(comm_, w);
-        ws.phase = WPhase::ShutdownSent;
-        event(now, w, -1, 0, "shutdown");
-      }
-      // Unknown and Returning workers get their Shutdown when their
-      // next Request arrives; Dead ones are swept after run_loop.
-    }
-  }
-
-  bool finished() const {
-    if (remaining_ > 0 && !cancelled_) {
-      return false;
-    }
-    for (int w = 1; w < comm_.size(); ++w) {
-      const WPhase phase = workers_[static_cast<std::size_t>(w)].phase;
-      if (phase != WPhase::Dead && phase != WPhase::ShutdownSent) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  void dispatch(const mp::RawMessage& msg, double now) {
-    const int w = msg.source;
-    WorkerState& ws = workers_[static_cast<std::size_t>(w)];
-    ws.last_heard_s = now;
-    switch (msg.tag) {
-      case kTagRequest: {
-        if (ws.phase == WPhase::Dead) {
-          resurrect(w, now);
-        } else if (ws.phase == WPhase::Busy) {
-          if (cancelled_) {
-            // The worker abandoned its attempt at a progress() poll
-            // after our Cancel — the expected drain handshake, not a
-            // lost result.
-            event(now, w, ws.task, ws.claim, "cancel-drain");
-            end_attempt(ws.task, ws.claim, now);
-          } else {
-            // A busy worker asking for work means its Done never
-            // reached us: the result is lost, the attempt is void.
-            ++stats_.lost_results;
-            event(now, w, ws.task, ws.claim, "lost-result");
-            end_attempt(ws.task, ws.claim, now);
-            requeue_if_needed(ws.task, now, /*front=*/true);
-          }
-        }
-        ws.phase = WPhase::Parked;
-        ws.task = -1;
-        try_assign(w, now);
-        break;
-      }
-      case kTagDone: {
-        Reader reader(msg.payload);
-        const TaskHeader header = parse_header(reader);
-        // Keep the result as a zero-copy slice of the Done message.
-        const std::uint32_t result_len = reader.u32();
-        mp::Buffer result = msg.payload.slice(reader.pos(), result_len);
-        if (ws.phase == WPhase::Dead) {
-          resurrect(w, now);
-        }
-        end_attempt(header.task_id, header.claim, now);
-        TaskState& ts = task_states_[static_cast<std::size_t>(header.task_id)];
-        if (!ts.done) {
-          ts.done = true;
-          results_[static_cast<std::size_t>(header.task_id)] =
-              std::move(result);
-          --remaining_;
-          event(now, w, header.task_id, header.claim, "done");
-          // Backups of a finished task are superseded: first finisher
-          // wins, later results are recorded as duplicates.
-          for (Attempt& attempt : ts.attempts) {
-            if (attempt.live) {
-              end_attempt(header.task_id, attempt.claim, now);
-            }
-          }
-        } else {
-          event(now, w, header.task_id, header.claim, "dup-done");
-        }
-        ws.phase = WPhase::Returning;
-        ws.task = -1;
-        break;
-      }
-      case kTagHeartbeat: {
-        Reader reader(msg.payload);
-        const TaskHeader header = parse_header(reader);
-        ++stats_.heartbeats;
-        event(now, w, header.task_id, header.claim, "heartbeat");
-        if (ws.phase == WPhase::Dead) {
-          resurrect(w, now);
-          // It is still crunching the task we wrote off; let it run as a
-          // (possibly duplicated) live attempt again.
-          TaskState& ts =
-              task_states_[static_cast<std::size_t>(header.task_id)];
-          if (!ts.done) {
-            for (Attempt& attempt : ts.attempts) {
-              if (attempt.claim == header.claim) {
-                attempt.live = true;
-              }
-            }
-          }
-          ws.phase = WPhase::Busy;
-          ws.task = header.task_id;
-          ws.claim = header.claim;
-        }
-        break;
-      }
-      default:
-        throw ClusterError("cluster master: unexpected tag " +
-                           std::to_string(msg.tag) + " from rank " +
-                           std::to_string(w));
-    }
-  }
-
-  void resurrect(int w, double now) {
-    WorkerState& ws = workers_[static_cast<std::size_t>(w)];
-    ws.phase = WPhase::Parked;
-    ++stats_.resurrections;
-    --stats_.dead_workers;
-    dead_.erase(std::remove(dead_.begin(), dead_.end(), w), dead_.end());
-    event(now, w, -1, 0, "worker-back");
-  }
-
-  /// Mark the attempt identified by (task, claim) finished/void and
-  /// record its lane segment in the schedule trace.
-  void end_attempt(int task, std::uint64_t claim, double now) {
-    if (task < 0 || task >= static_cast<int>(task_states_.size())) {
-      return;
-    }
-    TaskState& ts = task_states_[static_cast<std::size_t>(task)];
-    for (Attempt& attempt : ts.attempts) {
-      if (attempt.claim == claim && attempt.live) {
-        attempt.live = false;
-        if (recorder_ != nullptr) {
-          recorder_->record_chunk(attempt.worker, 0, task, task + 1, claim,
-                                  attempt.assigned_s, now);
-        }
-      }
-    }
-  }
-
-  void requeue_if_needed(int task, double now, bool front) {
-    if (cancelled_) {
-      return;  // nothing is re-executed after the job deadline
-    }
-    TaskState& ts = task_states_[static_cast<std::size_t>(task)];
-    if (ts.done || ts.queued) {
-      return;
-    }
-    for (const Attempt& attempt : ts.attempts) {
-      if (attempt.live) {
-        return;  // a backup is still running it
-      }
-    }
-    if (static_cast<int>(ts.attempts.size()) >=
-        options_.max_attempts_per_task) {
-      throw ClusterError("cluster master: task " + std::to_string(task) +
-                         " failed after " +
-                         std::to_string(ts.attempts.size()) +
-                         " attempts (max_attempts_per_task)");
-    }
-    if (front) {
-      queue_.push_front(task);
-    } else {
-      queue_.push_back(task);
-    }
-    ts.queued = true;
-    ++stats_.requeues;
-    event(now, -1, task, 0, "requeue");
-  }
-
-  void check_timeouts(double now) {
-    for (int w = 1; w < comm_.size(); ++w) {
-      WorkerState& ws = workers_[static_cast<std::size_t>(w)];
-      const bool expected_to_talk =
-          ws.phase == WPhase::Busy || ws.phase == WPhase::Returning;
-      if (expected_to_talk &&
-          now - ws.last_heard_s > options_.heartbeat_timeout_s) {
-        const int task = ws.task;
-        const std::uint64_t claim = ws.claim;
-        ws.phase = WPhase::Dead;
-        ws.task = -1;
-        ++stats_.dead_workers;
-        dead_.push_back(w);
-        event(now, w, task, claim, "worker-dead");
-        if (task >= 0) {
-          end_attempt(task, claim, now);
-          requeue_if_needed(task, now, /*front=*/true);
-        }
-      }
-    }
-    if (options_.task_timeout_s > 0.0) {
-      for (int t = 0; t < static_cast<int>(task_states_.size()); ++t) {
-        TaskState& ts = task_states_[static_cast<std::size_t>(t)];
-        if (ts.done) {
-          continue;
-        }
-        for (Attempt& attempt : ts.attempts) {
-          if (attempt.live &&
-              now - attempt.assigned_s > options_.task_timeout_s) {
-            event(now, attempt.worker, t, attempt.claim, "task-timeout");
-            end_attempt(t, attempt.claim, now);
-          }
-        }
-        requeue_if_needed(t, now, /*front=*/true);
-      }
-    }
-  }
-
-  /// Hand work to every parked worker: queued tasks first, then
-  /// speculative duplicates of in-flight tasks, then (once everything is
-  /// done) shutdowns.
-  void drive_idle(double now) {
-    for (int w = 1; w < comm_.size(); ++w) {
-      if (workers_[static_cast<std::size_t>(w)].phase == WPhase::Parked) {
-        try_assign(w, now);
-      }
-    }
-  }
-
-  void try_assign(int w, double now) {
-    if (cancelled_) {
-      // Every worker that reports in after the deadline leaves the
-      // protocol; the queue was already dropped by maybe_cancel.
-      send_shutdown(comm_, w);
-      workers_[static_cast<std::size_t>(w)].phase = WPhase::ShutdownSent;
-      event(now, w, -1, 0, "shutdown");
-      return;
-    }
-    if (!queue_.empty()) {
-      const int task = queue_.front();
-      queue_.pop_front();
-      task_states_[static_cast<std::size_t>(task)].queued = false;
-      assign(w, task, /*speculative=*/false, now);
-      return;
-    }
-    if (remaining_ == 0) {
-      send_shutdown(comm_, w);
-      workers_[static_cast<std::size_t>(w)].phase = WPhase::ShutdownSent;
-      event(now, w, -1, 0, "shutdown");
-      return;
-    }
-    // Speculation: duplicate the oldest in-flight task that is not
-    // already at its live-attempt cap.
-    int candidate = -1;
-    double oldest = std::numeric_limits<double>::infinity();
-    for (int t = 0; t < static_cast<int>(task_states_.size()); ++t) {
-      const TaskState& ts = task_states_[static_cast<std::size_t>(t)];
-      if (ts.done || ts.queued) {
-        continue;
-      }
-      int live = 0;
-      double first_assigned = std::numeric_limits<double>::infinity();
-      for (const Attempt& attempt : ts.attempts) {
-        if (attempt.live) {
-          ++live;
-          first_assigned = std::min(first_assigned, attempt.assigned_s);
-        }
-      }
-      if (live >= 1 && live < options_.max_live_attempts &&
-          now - first_assigned >= options_.speculation_age_s &&
-          first_assigned < oldest) {
-        oldest = first_assigned;
-        candidate = t;
-      }
-    }
-    if (candidate >= 0) {
-      assign(w, candidate, /*speculative=*/true, now);
-    }
-    // Otherwise the worker stays parked; it gets work on the next
-    // requeue or a shutdown once the run completes.
-  }
-
-  void assign(int w, int task, bool speculative, double now) {
-    TaskState& ts = task_states_[static_cast<std::size_t>(task)];
-    if (static_cast<int>(ts.attempts.size()) >=
-        options_.max_attempts_per_task) {
-      throw ClusterError("cluster master: task " + std::to_string(task) +
-                         " failed after " +
-                         std::to_string(ts.attempts.size()) +
-                         " attempts (max_attempts_per_task)");
-    }
-    const std::uint64_t claim = ++claim_seq_;
-    ts.attempts.push_back(Attempt{w, claim, now, true, speculative});
-    WorkerState& ws = workers_[static_cast<std::size_t>(w)];
-    ws.phase = WPhase::Busy;
-    ws.task = task;
-    ws.claim = claim;
-    ws.last_heard_s = now;
-    ++stats_.attempts;
-    if (speculative) {
-      ++stats_.speculative_attempts;
-    }
-    event(now, w, task, claim, speculative ? "spec-assign" : "assign");
-    send_assign(comm_, w, task, claim, tasks_[static_cast<std::size_t>(task)]);
-  }
-
-  void check_liveness(double now) {
-    if (remaining_ == 0 || cancelled_) {
-      return;
-    }
-    for (int w = 1; w < comm_.size(); ++w) {
-      const WPhase phase = workers_[static_cast<std::size_t>(w)].phase;
-      if (phase != WPhase::Dead) {
-        return;  // someone can still make progress (or might show up)
-      }
-    }
-    std::ostringstream detail;
-    detail << "cluster master: all " << (comm_.size() - 1)
-           << " worker(s) dead with " << remaining_
-           << " task(s) outstanding:";
-    for (int t = 0; t < static_cast<int>(task_states_.size()); ++t) {
-      if (!task_states_[static_cast<std::size_t>(t)].done) {
-        detail << " " << t;
-      }
-    }
-    detail << " (t=" << now << "s)";
-    throw ClusterError(detail.str());
-  }
-
-  std::vector<int> dead_list() const {
-    std::vector<int> dead = dead_;
-    std::sort(dead.begin(), dead.end());
-    return dead;
-  }
-
-  void finalize_profile() {
-    stats_.makespan_s = now_rel();
-    if (profile_ == nullptr) {
-      return;
-    }
-    profile_->stats = stats_;
-    profile_->dead_workers = dead_list();
-    if (recorder_ != nullptr) {
-      profile_->schedule = std::make_shared<const rt::RunProfile>(
-          recorder_->finish(stats_.makespan_s));
-    }
-  }
-
-  CommT& comm_;
-  const std::vector<std::vector<std::byte>>& tasks_;
-  ClusterOptions options_;
-  ClusterProfile* profile_;
-
-  std::vector<mp::Buffer> results_;
-  std::vector<TaskState> task_states_;
-  std::vector<WorkerState> workers_;
-  std::deque<int> queue_;
-  std::vector<int> dead_;
-  ClusterStats stats_;
-  std::unique_ptr<rt::TraceRecorder> recorder_;
-  std::uint64_t claim_seq_ = 0;
-  int remaining_ = 0;
-  double start_s_ = 0.0;
-  bool cancelled_ = false;
-  double last_checkpoint_s_ = 0.0;
-  int checkpointed_done_ = 0;
+  mp::Endpoint& comm_;
+  std::optional<ReliableComm> reliable_;
 };
-
-/// Worker side: pull work, execute, report, heartbeat. Returns true if
-/// an injected crash fault fired (the rank silently left the protocol).
-/// Sets *job_cancelled when the worker abandoned an attempt after a
-/// master Cancel (job deadline).
-template <class CommT>
-bool run_worker(CommT& comm, const TaskFn& task_fn,
-                const ClusterOptions& options, const FaultPlan* faults,
-                bool* job_cancelled) {
-  using Traits = TransportTraits<CommT>;
-  const int rank = comm.rank();
-  // Polling the Cancel channel costs a scheduler yield per progress()
-  // call on the Sim transport, so it is armed only when the run can
-  // actually be cancelled (a deadline is set or a CancelToken is
-  // connected) — uncancellable runs stay byte-identical.
-  const bool cancellable =
-      options.job_deadline_s > 0.0 || options.cancel.valid();
-  const CrashFault* crash = faults ? faults->crash_for(rank) : nullptr;
-  const double slowdown = faults ? faults->slowdown_for(rank) : 1.0;
-  const bool jitter = faults != nullptr && faults->delay_jitter_s > 0.0;
-  util::Rng delay_rng(jitter ? faults->seed ^
-                                   (0x9E3779B97F4A7C15ULL *
-                                    static_cast<std::uint64_t>(rank + 1))
-                             : 0);
-  auto maybe_delay = [&] {
-    if (jitter) {
-      Traits::charge_seconds(comm,
-                             delay_rng.uniform(0.0, faults->delay_jitter_s));
-    }
-  };
-
-  int started_tasks = 0;
-  int done_sent = 0;
-  try {
-    for (;;) {
-      maybe_delay();
-      detail::send_request(comm);
-      mp::RawMessage msg;
-      do {
-        // A Cancel that raced our Done (or one consumed by nobody
-        // because the attempt finished first) may still sit in the
-        // inbox; the master always follows it with a Shutdown, so
-        // stale Cancels are simply discarded here.
-        msg = comm.recv_raw(0, mp::kAnyTag);
-      } while (msg.tag == detail::kTagCancel);
-      if (msg.tag == detail::kTagShutdown) {
-        return false;
-      }
-      util::ensure(msg.tag == detail::kTagAssign,
-                   "cluster worker: unexpected tag from master");
-      Reader reader(msg.payload);
-      const detail::TaskHeader header = detail::parse_header(reader);
-      // Zero-copy: the task body reads the payload straight out of the
-      // assignment message (msg stays alive across the call).
-      const mp::ByteView payload = reader.blob_view();
-
-      const bool crash_this =
-          crash != nullptr && started_tasks == crash->nth_task;
-      ++started_tasks;
-      double last_heartbeat_s = Traits::now(comm);
-      TaskContext ctx(
-          rank, header.task_id,
-          [&](double ops) { Traits::charge_ops(comm, ops * slowdown); },
-          [&] {
-            if (crash_this) {
-              throw detail::WorkerCrashSignal{};
-            }
-            if (cancellable) {
-              mp::RawMessage cancel_msg;
-              if (comm.recv_raw_timed(0, detail::kTagCancel, 0.0,
-                                      &cancel_msg)) {
-                throw detail::WorkerCancelSignal{};
-              }
-            }
-            const double now = Traits::now(comm);
-            if (now - last_heartbeat_s >= options.heartbeat_interval_s) {
-              maybe_delay();
-              detail::send_heartbeat(comm, header.task_id, header.claim);
-              last_heartbeat_s = Traits::now(comm);
-            }
-          });
-      std::vector<std::byte> result = task_fn(ctx, header.task_id, payload);
-      if (crash_this) {
-        // The task body never called progress(): still crash before the
-        // result escapes, so the failure is observable.
-        throw detail::WorkerCrashSignal{};
-      }
-      const bool drop =
-          faults != nullptr && faults->should_drop(rank, done_sent);
-      ++done_sent;
-      if (!drop) {
-        maybe_delay();
-        detail::send_done(comm, header.task_id, header.claim, result);
-      }
-    }
-  } catch (const detail::WorkerCrashSignal&) {
-    // Fail-stop: abandon the protocol. The rank's thread lives on so
-    // SPMD code after the engine (collectives) still runs.
-    return true;
-  } catch (const detail::WorkerCancelSignal&) {
-    // Cooperative stop at a progress() boundary. Tell the master the
-    // attempt is abandoned (a Request from a busy worker) and wait for
-    // the Shutdown it answers a cancelled worker with.
-    detail::send_request(comm);
-    for (;;) {
-      const mp::RawMessage msg = comm.recv_raw(0, mp::kAnyTag);
-      if (msg.tag == detail::kTagShutdown) {
-        break;
-      }
-    }
-    if (job_cancelled != nullptr) {
-      *job_cancelled = true;
-    }
-    return false;
-  }
-}
 
 }  // namespace detail
 
@@ -1264,60 +334,11 @@ bool run_worker(CommT& comm, const TaskFn& task_fn,
 /// and re-executed; stragglers are speculatively duplicated onto idle
 /// workers, first finisher wins. Failures to recover from (all workers
 /// dead, attempt budget exhausted) throw ClusterError on the master.
-template <class CommT>
+/// With options.reliability.enabled the run goes through ReliableComm.
 ClusterRunResult run_cluster_tasks(
-    CommT& comm, const std::vector<std::vector<std::byte>>& tasks,
+    mp::Endpoint& comm, const std::vector<std::vector<std::byte>>& tasks,
     const TaskFn& task_fn, const ClusterOptions& options = {},
-    const FaultPlan* faults = nullptr, ClusterProfile* profile = nullptr) {
-  util::require(task_fn != nullptr,
-                "run_cluster_tasks: task body must be callable");
-  options.validate();
-  if (faults != nullptr) {
-    faults->validate();
-  }
-  // Reliability wrapper: when the ack/retry sublayer is requested and the
-  // caller handed us a bare transport, wrap it once and recurse — the
-  // constexpr guard keeps an already-wrapped comm (e.g. from the
-  // distributed MapReduce driver, which wraps for the whole job so the
-  // collectives after the engine share the same sequence state) from
-  // being wrapped twice.
-  if constexpr (!is_reliable_comm_v<CommT>) {
-    if (options.reliability.enabled) {
-      ReliableComm<CommT> reliable(comm, options.reliability);
-      ClusterRunResult result = run_cluster_tasks(reliable, tasks, task_fn,
-                                                  options, faults, profile);
-      if (!result.crashed) {
-        // Drain unacked sends before the wrapper dies; a crashed worker
-        // is fail-stop and must not linger retransmitting.
-        reliable.flush();
-      }
-      if (profile != nullptr && comm.rank() == 0) {
-        profile->retry = reliable.retry_stats();
-      }
-      return result;
-    }
-  }
-  if (comm.rank() == 0) {
-    detail::Master<CommT> master(comm, tasks, options, profile);
-    ClusterRunResult result = master.run(task_fn);
-    if (profile != nullptr) {
-      // Snapshot every rank's outbound wire counters into the profile
-      // schema (zombie stragglers may still add a little after this).
-      profile->wire_messages.clear();
-      profile->wire_bytes.clear();
-      for (int r = 0; r < comm.size(); ++r) {
-        const mp::WireStats wire = comm.wire_stats(r);
-        profile->wire_messages.push_back(wire.messages);
-        profile->wire_bytes.push_back(wire.bytes);
-      }
-    }
-    return result;
-  }
-  ClusterRunResult result;
-  result.crashed = detail::run_worker(comm, task_fn, options, faults,
-                                      &result.job_cancelled);
-  return result;
-}
+    const FaultPlan* faults = nullptr, ClusterProfile* profile = nullptr);
 
 /// Everything a deterministic simulated engine run produces.
 struct SimClusterRun {

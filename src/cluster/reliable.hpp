@@ -1,19 +1,13 @@
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <map>
-#include <string>
-#include <type_traits>
 #include <vector>
 
-#include "mp/comm.hpp"
-#include "mp/sim_world.hpp"
+#include "mp/endpoint.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -94,45 +88,11 @@ struct RetryStats {
   std::uint64_t out_of_order_stashed = 0;
 };
 
-namespace detail {
-
-/// Internal tag of ack messages. Distinct from user tags (>= 0), the
-/// collective tags (-2..-9) and the engine tags ((1 << 20) + n).
-constexpr int kReliableAckTag = -101;
-
-constexpr std::size_t kEnvelopeBytes = 16;  // [u64 seq][u64 flags]
-constexpr std::uint64_t kFlagNeedsAck = 1;
-
-/// Ack payload: the link sequence number being acknowledged.
-struct AckRecord {
-  std::uint64_t seq = 0;
-};
-
-/// "Now" in the wrapped transport's clock domain.
-template <class CommT>
-struct ReliableClock;
-
-template <>
-struct ReliableClock<mp::Comm> {
-  static double now(mp::Comm&) {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-};
-
-template <>
-struct ReliableClock<mp::SimComm> {
-  static double now(mp::SimComm& comm) { return comm.context().now(); }
-};
-
-}  // namespace detail
-
-/// The ack/retry/dedup sublayer: wraps a Comm or SimComm and exposes the
-/// same transport concept (rank/size/pipeline_segment_bytes/send_raw/
-/// recv_raw/recv_raw_timed), so every collective algorithm and the
-/// cluster engine run over it unchanged — but now they survive an armed
-/// mp::TransportChaos plan.
+/// The ack/retry/dedup sublayer: an mp::Endpoint over another endpoint
+/// (a Comm or SimComm), so every collective algorithm and the cluster
+/// engine run over it unchanged — but now they survive an armed
+/// mp::TransportChaos plan. Clock and work charging are the wrapped
+/// endpoint's.
 ///
 /// Protocol: every sequenced payload is prefixed with a 16-byte envelope
 /// [u64 seq][u64 flags]. Sequence numbers are monotonic per directed
@@ -148,276 +108,57 @@ struct ReliableClock<mp::SimComm> {
 /// Every rank of a world must wrap its endpoint (the envelope is not
 /// self-describing); heartbeat-style traffic can opt out per message via
 /// send_raw_fire_and_forget (seq 0: no ack, no retry, no ordering).
-template <class CommT>
-class ReliableComm {
+class ReliableComm final : public mp::Endpoint {
  public:
-  ReliableComm(CommT& comm, ReliabilityOptions options)
-      : comm_(&comm), options_(options) {
-    options_.validate();
-    util::SplitMix64 mix(options_.seed ^
-                         (0xA0761D6478BD642FULL *
-                          (static_cast<std::uint64_t>(comm.rank()) + 1)));
-    jitter_rng_ = util::Rng(mix.next());
-  }
+  ReliableComm(mp::Endpoint& comm, ReliabilityOptions options);
 
   ReliableComm(const ReliableComm&) = delete;
   ReliableComm& operator=(const ReliableComm&) = delete;
 
-  int rank() const { return comm_->rank(); }
-  int size() const { return comm_->size(); }
-  std::size_t pipeline_segment_bytes() const {
+  int rank() const override { return comm_->rank(); }
+  int size() const override { return comm_->size(); }
+  std::size_t pipeline_segment_bytes() const override {
     return comm_->pipeline_segment_bytes();
   }
 
-  CommT& underlying() { return *comm_; }
   const ReliabilityOptions& options() const { return options_; }
   const RetryStats& retry_stats() const { return stats_; }
-  mp::WireStats wire_stats(int rank = -1) const {
+  mp::WireStats wire_stats(int rank = -1) const override {
     return comm_->wire_stats(rank);
+  }
+
+  double now() override { return comm_->now(); }
+  bool virtual_time() const override { return comm_->virtual_time(); }
+  void charge_ops(double ops) override { comm_->charge_ops(ops); }
+  void charge_seconds(double seconds) override {
+    comm_->charge_seconds(seconds);
   }
 
   // --- raw transport (the collective algorithms and engine call these) ------
 
   void send_raw(int dest, int tag, std::size_t type_hash,
-                mp::Buffer payload) {
-    const std::uint64_t seq = ++next_seq_[dest];
-    mp::Buffer envelope =
-        make_envelope(seq, detail::kFlagNeedsAck, payload);
-    double now = now_s();
-    Pending pending;
-    pending.dest = dest;
-    pending.tag = tag;
-    pending.seq = seq;
-    pending.type_hash = type_hash;
-    pending.envelope = envelope;
-    pending.backoff_s = options_.ack_timeout_s;
-    pending.next_retry_s = now + pending.backoff_s + jitter();
-    unacked_.push_back(std::move(pending));
-    stats_.data_sent += 1;
-    comm_->send_raw(dest, tag, type_hash, std::move(envelope));
-    pump(now_s());
-  }
+                mp::Buffer payload) override;
 
   /// Unsequenced, unacknowledged send: the message may be lost,
   /// duplicated or reordered under chaos, and the layer will not care.
   /// For idempotent liveness traffic (the engine's heartbeats) where a
   /// retransmit queue would only delay fresher news.
   void send_raw_fire_and_forget(int dest, int tag, std::size_t type_hash,
-                                mp::Buffer payload) {
-    mp::Buffer envelope = make_envelope(0, 0, payload);
-    stats_.fire_and_forget_sent += 1;
-    comm_->send_raw(dest, tag, type_hash, std::move(envelope));
-  }
+                                mp::Buffer payload) override;
 
-  mp::RawMessage recv_raw(int source, int tag) {
-    mp::RawMessage out;
-    if (!recv_raw_timed(source, tag, options_.recv_timeout_s, &out)) {
-      throw mp::MpDeadlockError(
-          "ReliableComm::recv_raw: no deliverable message from source " +
-          std::to_string(source) + " tag " + std::to_string(tag) +
-          " within " + std::to_string(options_.recv_timeout_s) +
-          "s (peer dead or retry budget spent?)");
-    }
-    return out;
-  }
+  /// Blocks up to ReliabilityOptions::recv_timeout_s, then throws
+  /// MpDeadlockError.
+  mp::RawMessage recv_raw(int source, int tag) override;
 
   bool recv_raw_timed(int source, int tag, double timeout_s,
-                      mp::RawMessage* out) {
-    double now = now_s();
-    const double deadline_s = now + (timeout_s > 0.0 ? timeout_s : 0.0);
-    for (;;) {
-      if (take_delivered(source, tag, out)) {
-        return true;
-      }
-      pump(now);
-      if (take_delivered(source, tag, out)) {
-        return true;
-      }
-      now = now_s();
-      if (now >= deadline_s) {
-        return false;
-      }
-      // Sleep on the underlying transport until the next message, the
-      // caller's deadline, or the next retransmit is due — whichever is
-      // first.
-      double slice_s = deadline_s - now;
-      if (!unacked_.empty()) {
-        double next_retry = unacked_.front().next_retry_s;
-        for (const Pending& pending : unacked_) {
-          next_retry = std::min(next_retry, pending.next_retry_s);
-        }
-        slice_s = std::min(slice_s, next_retry - now);
-      }
-      slice_s = std::max(slice_s, 1e-4);  // never a pure spin
-      mp::RawMessage raw;
-      if (comm_->recv_raw_timed(mp::kAnySource, mp::kAnyTag, slice_s,
-                                &raw)) {
-        demux(std::move(raw));
-      }
-      now = now_s();
-    }
-  }
+                      mp::RawMessage* out) override;
 
   /// Block until every sequenced send has been acked or abandoned;
   /// returns how many were abandoned (0 = everything confirmed
   /// delivered). Call at protocol wind-down: a sender that simply
   /// returns with messages unacked would strand its peers' last
   /// exchanges.
-  std::uint64_t flush() {
-    const std::uint64_t abandoned_before = stats_.abandoned;
-    while (!unacked_.empty()) {
-      double now = now_s();
-      pump(now);
-      if (unacked_.empty()) {
-        break;
-      }
-      now = now_s();
-      double next_retry = unacked_.front().next_retry_s;
-      for (const Pending& pending : unacked_) {
-        next_retry = std::min(next_retry, pending.next_retry_s);
-      }
-      const double slice_s = std::max(next_retry - now, 1e-4);
-      mp::RawMessage raw;
-      if (comm_->recv_raw_timed(mp::kAnySource, mp::kAnyTag, slice_s,
-                                &raw)) {
-        demux(std::move(raw));
-      }
-    }
-    return stats_.abandoned - abandoned_before;
-  }
-
-  // --- point to point (mirrors Comm) ---------------------------------------
-
-  template <class T>
-  void send(int dest, int tag, const T& value) {
-    util::require(tag >= 0,
-                  "ReliableComm::send: user tags must be non-negative");
-    send_raw(dest, tag, mp::type_hash_of<T>(), mp::Codec<T>::encode(value));
-  }
-
-  template <class U>
-  void send(int dest, int tag, std::vector<U>&& values) {
-    util::require(tag >= 0,
-                  "ReliableComm::send: user tags must be non-negative");
-    send_raw(dest, tag, mp::type_hash_of<std::vector<U>>(),
-             mp::Codec<std::vector<U>>::encode(std::move(values)));
-  }
-
-  void send(int dest, int tag, std::string&& text) {
-    util::require(tag >= 0,
-                  "ReliableComm::send: user tags must be non-negative");
-    send_raw(dest, tag, mp::type_hash_of<std::string>(),
-             mp::Codec<std::string>::encode(std::move(text)));
-  }
-
-  template <class T>
-  T recv(int source = mp::kAnySource, int tag = mp::kAnyTag,
-         mp::RecvStatus* status = nullptr) {
-    mp::RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != mp::type_hash_of<T>()) {
-      throw mp::MpTypeError(
-          "ReliableComm::recv: matched message has a different payload type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return mp::Codec<T>::decode(message.payload);
-  }
-
-  template <class U>
-  mp::PayloadView<U> recv_view(int source = mp::kAnySource,
-                               int tag = mp::kAnyTag,
-                               mp::RecvStatus* status = nullptr) {
-    mp::RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != mp::type_hash_of<std::vector<U>>()) {
-      throw mp::MpTypeError(
-          "ReliableComm::recv_view: matched message has a different payload "
-          "type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return mp::PayloadView<U>(std::move(message.payload));
-  }
-
-  template <class T>
-  T sendrecv(int dest, int send_tag, const T& value, int source,
-             int recv_tag) {
-    send(dest, send_tag, value);
-    return recv<T>(source, recv_tag);
-  }
-
-  // --- collectives (same algorithms, now loss-tolerant) --------------------
-
-  void barrier() { mp::detail::barrier(*this); }
-
-  template <class T>
-  void bcast(T& value, int root = 0) {
-    mp::detail::bcast(*this, value, root);
-  }
-
-  void bcast_raw(mp::Buffer& payload, int root = 0) {
-    mp::detail::bcast_raw(*this, payload, root);
-  }
-
-  template <class T, class Op>
-  T reduce(const T& value, Op op, int root = 0) {
-    return mp::detail::reduce(*this, value, op, root);
-  }
-
-  template <class T, class Op>
-  T allreduce(const T& value, Op op) {
-    return mp::detail::allreduce(*this, value, op);
-  }
-
-  template <class U, class Op>
-  void reduce_elementwise(std::vector<U>& data, Op op, int root = 0) {
-    mp::detail::reduce_elementwise(*this, data, op, root);
-  }
-
-  template <class U, class Op>
-  void allreduce_elementwise(std::vector<U>& data, Op op) {
-    mp::detail::allreduce_elementwise(*this, data, op);
-  }
-
-  template <class T>
-  T scatter(const std::vector<T>& values, int root = 0) {
-    return mp::detail::scatter(*this, values, root);
-  }
-
-  mp::Buffer scatter_raw(std::vector<mp::Buffer> blobs, int root = 0) {
-    return mp::detail::scatter_raw(*this, std::move(blobs), root);
-  }
-
-  template <class T>
-  std::vector<T> gather(const T& value, int root = 0) {
-    return mp::detail::gather(*this, value, root);
-  }
-
-  std::vector<mp::Buffer> gather_raw(mp::Buffer blob, int root = 0) {
-    return mp::detail::gather_raw(*this, std::move(blob), root);
-  }
-
-  template <class T>
-  std::vector<T> allgather(const T& value) {
-    return mp::detail::allgather(*this, value);
-  }
-
-  template <class U>
-  std::vector<mp::PayloadView<U>> allgather_view(std::vector<U>&& values) {
-    return mp::detail::allgather_view(*this, std::move(values));
-  }
-
-  template <class U, class Op>
-  void ring_allreduce(std::vector<U>& data, Op op) {
-    mp::detail::ring_allreduce(*this, data, op);
-  }
-
-  std::vector<double> ring_allreduce_sum(std::vector<double> data) {
-    return mp::detail::ring_allreduce_sum(*this, std::move(data));
-  }
+  std::uint64_t flush();
 
  private:
   struct Pending {
@@ -438,137 +179,16 @@ class ReliableComm {
     std::map<std::uint64_t, mp::RawMessage> stash;
   };
 
-  double now_s() { return detail::ReliableClock<CommT>::now(*comm_); }
-
-  double jitter() {
-    return options_.jitter_s > 0.0
-               ? jitter_rng_.uniform(0.0, options_.jitter_s)
-               : 0.0;
-  }
-
-  mp::Buffer make_envelope(std::uint64_t seq, std::uint64_t flags,
-                           const mp::Buffer& payload) {
-    mp::Buffer envelope =
-        mp::Buffer::uninitialized(detail::kEnvelopeBytes + payload.size());
-    std::byte* dst = envelope.mutable_data();
-    std::memcpy(dst, &seq, sizeof(seq));
-    std::memcpy(dst + sizeof(seq), &flags, sizeof(flags));
-    mp::detail::copy_payload(dst + detail::kEnvelopeBytes, payload.data(),
-                             payload.size());
-    return envelope;
-  }
-
+  double jitter();
+  double next_retry_s() const;
   /// Drain everything the underlying transport has ready (one poll
   /// each), then retransmit whatever is overdue.
-  void pump(double now) {
-    mp::RawMessage raw;
-    while (comm_->recv_raw_timed(mp::kAnySource, mp::kAnyTag, 0.0, &raw)) {
-      demux(std::move(raw));
-    }
-    retransmit_overdue(now);
-  }
+  void pump(double now);
+  void retransmit_overdue(double now);
+  void demux(mp::RawMessage raw);
+  bool take_delivered(int source, int tag, mp::RawMessage* out);
 
-  void retransmit_overdue(double now) {
-    for (std::size_t i = 0; i < unacked_.size();) {
-      Pending& pending = unacked_[i];
-      if (now < pending.next_retry_s) {
-        ++i;
-        continue;
-      }
-      if (pending.retransmits >= options_.max_retransmits) {
-        // Budget spent: the peer is presumed dead. Stay silent — the
-        // engine's liveness machinery (heartbeat timeouts, speculation)
-        // owns that diagnosis, and pure-collective callers surface it
-        // as a recv timeout.
-        stats_.abandoned += 1;
-        unacked_.erase(unacked_.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-        continue;
-      }
-      pending.retransmits += 1;
-      stats_.retransmits += 1;
-      pending.backoff_s = std::min(pending.backoff_s *
-                                       options_.backoff_factor,
-                                   options_.max_backoff_s);
-      pending.next_retry_s = now + pending.backoff_s + jitter();
-      comm_->send_raw(pending.dest, pending.tag, pending.type_hash,
-                      pending.envelope);
-      ++i;
-    }
-  }
-
-  void demux(mp::RawMessage raw) {
-    if (raw.tag == detail::kReliableAckTag) {
-      const detail::AckRecord ack =
-          mp::Codec<detail::AckRecord>::decode(raw.payload);
-      stats_.acks_received += 1;
-      for (std::size_t i = 0; i < unacked_.size(); ++i) {
-        if (unacked_[i].dest == raw.source && unacked_[i].seq == ack.seq) {
-          unacked_.erase(unacked_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
-      return;
-    }
-    if (raw.payload.size() < detail::kEnvelopeBytes) {
-      throw mp::MpError(
-          "ReliableComm: received an unenveloped message — every rank of a "
-          "world must wrap its endpoint in ReliableComm");
-    }
-    std::uint64_t seq = 0;
-    std::uint64_t flags = 0;
-    std::memcpy(&seq, raw.payload.data(), sizeof(seq));
-    std::memcpy(&flags, raw.payload.data() + sizeof(seq), sizeof(flags));
-    raw.payload = raw.payload.slice(
-        detail::kEnvelopeBytes, raw.payload.size() - detail::kEnvelopeBytes);
-    if (seq == 0) {
-      delivered_.push_back(std::move(raw));  // fire-and-forget
-      return;
-    }
-    // Ack every sequenced arrival, duplicates included: a duplicate
-    // usually means our previous ack (or the original send) was lost.
-    if ((flags & detail::kFlagNeedsAck) != 0) {
-      detail::AckRecord ack;
-      ack.seq = seq;
-      stats_.acks_sent += 1;
-      comm_->send_raw(raw.source, detail::kReliableAckTag,
-                      mp::type_hash_of<detail::AckRecord>(),
-                      mp::Codec<detail::AckRecord>::encode(ack));
-    }
-    RecvLink& link = recv_links_[raw.source];
-    if (seq < link.next_expected || link.stash.count(seq) != 0) {
-      stats_.duplicates_dropped += 1;
-      return;
-    }
-    if (seq != link.next_expected) {
-      stats_.out_of_order_stashed += 1;
-      link.stash.emplace(seq, std::move(raw));
-      return;
-    }
-    delivered_.push_back(std::move(raw));
-    link.next_expected += 1;
-    auto it = link.stash.begin();
-    while (it != link.stash.end() && it->first == link.next_expected) {
-      delivered_.push_back(std::move(it->second));
-      it = link.stash.erase(it);
-      link.next_expected += 1;
-    }
-  }
-
-  bool take_delivered(int source, int tag, mp::RawMessage* out) {
-    for (auto it = delivered_.begin(); it != delivered_.end(); ++it) {
-      if ((source == mp::kAnySource || it->source == source) &&
-          (tag == mp::kAnyTag || it->tag == tag)) {
-        *out = std::move(*it);
-        delivered_.erase(it);
-        return true;
-      }
-    }
-    return false;
-  }
-
-  CommT* comm_;
+  mp::Endpoint* comm_;
   ReliabilityOptions options_;
   util::Rng jitter_rng_{1};
   RetryStats stats_;
@@ -577,14 +197,5 @@ class ReliableComm {
   std::map<int, RecvLink> recv_links_;     // per-source ordering + dedup
   std::deque<mp::RawMessage> delivered_;   // in-order, awaiting a match
 };
-
-/// Whether CommT is already a ReliableComm (so wrappers do not wrap
-/// twice).
-template <class T>
-struct is_reliable_comm : std::false_type {};
-template <class C>
-struct is_reliable_comm<ReliableComm<C>> : std::true_type {};
-template <class T>
-inline constexpr bool is_reliable_comm_v = is_reliable_comm<T>::value;
 
 }  // namespace pblpar::cluster

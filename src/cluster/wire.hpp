@@ -180,6 +180,11 @@ struct WireCodec<std::vector<U>> {
   }
   static std::vector<U> read(Reader& reader) {
     const std::uint32_t count = reader.u32();
+    // Every element encodes to at least one byte, so a count beyond the
+    // remaining bytes is corrupt — reject it before reserving for it.
+    if (count > reader.remaining()) {
+      throw WireError("cluster wire: vector count exceeds the buffer");
+    }
     std::vector<U> values;
     values.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {

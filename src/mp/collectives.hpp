@@ -56,15 +56,12 @@ inline std::size_t segment_count(std::size_t bytes, std::size_t seg) {
   return bytes <= seg ? 1 : (bytes + seg - 1) / seg;
 }
 
-/// The collective algorithms, generic over a transport endpoint with
-///   int rank(); int size();
-///   std::size_t pipeline_segment_bytes();   // 0 = never segment
-///   void send_raw(int dest, int tag, std::size_t type_hash,
-///                 Buffer payload);
-///   RawMessage recv_raw(int source, int tag);
-/// Both the host world (mp::Comm) and the simulated cluster
-/// (mp::SimComm) instantiate them, so the algorithms and their tests are
-/// shared.
+/// The collective algorithms, written against the raw surface of
+/// mp::Endpoint (rank, size, pipeline_segment_bytes, send_raw, recv_raw).
+/// Endpoint's collective members are their only callers, so the host
+/// world (mp::Comm), the simulated cluster (mp::SimComm) and the
+/// reliability layer over either share one instantiation per payload
+/// type, and one set of tests.
 
 inline void check_root(int root, int size) {
   util::require(root >= 0 && root < size, "collective: root rank out of range");

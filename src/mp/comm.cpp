@@ -101,4 +101,10 @@ WireStats Comm::wire_stats(int rank) const {
   return stats;
 }
 
+double Comm::now() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 }  // namespace pblpar::mp

@@ -4,41 +4,15 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "mp/chaos.hpp"
-#include "mp/collectives.hpp"
+#include "mp/endpoint.hpp"
 #include "mp/mailbox.hpp"
 #include "mp/message.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace pblpar::mp {
-
-/// Wildcards for Comm::recv.
-constexpr int kAnySource = -1;
-constexpr int kAnyTag = -1;
-
-/// Source and tag of a received message (MPI_Status equivalent).
-struct RecvStatus {
-  int source = -1;
-  int tag = -1;
-};
-
-/// Snapshot of one rank's outbound wire traffic (messages sent and
-/// payload bytes shipped), surfaced per rank by Comm::wire_stats and in
-/// the cluster profile schema. The chaos_* counters record what an armed
-/// TransportChaos plan injected on this rank's outbound links; all zero
-/// when chaos is off.
-struct WireStats {
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t chaos_dropped = 0;
-  std::uint64_t chaos_duplicated = 0;
-  std::uint64_t chaos_delayed = 0;
-  std::uint64_t chaos_reordered = 0;
-};
 
 namespace detail {
 
@@ -106,190 +80,36 @@ struct WorldState {
 
 }  // namespace detail
 
-/// A communicator endpoint: one rank's handle on the world (the TeachMPI
-/// analogue of MPI_COMM_WORLD seen from one process).
-///
-/// Point-to-point sends are buffered (never block); receives block until
-/// a matching message arrives or the world's timeout expires. Collectives
-/// must be called by every rank, in the same order; the algorithms live
-/// in mp/collectives.hpp and are shared with the simulated cluster.
-class Comm {
+/// The host world's endpoint: one rank's thread on an in-process message
+/// fabric (see mp::Endpoint for the API).
+class Comm final : public Endpoint {
  public:
   Comm(detail::WorldState& world, int rank) : world_(&world), rank_(rank) {}
 
-  int rank() const { return rank_; }
-  int size() const { return world_->size; }
+  int rank() const override { return rank_; }
+  int size() const override { return world_->size; }
 
-  // --- point to point -------------------------------------------------------
-
-  template <class T>
-  void send(int dest, int tag, const T& value) {
-    util::require(tag >= 0, "Comm::send: user tags must be non-negative");
-    send_raw(dest, tag, type_hash_of<T>(), Codec<T>::encode(value));
-  }
-
-  /// Move-of-ownership send: the vector's storage becomes the payload,
-  /// no bytes are copied.
-  template <class U>
-  void send(int dest, int tag, std::vector<U>&& values) {
-    util::require(tag >= 0, "Comm::send: user tags must be non-negative");
-    send_raw(dest, tag, type_hash_of<std::vector<U>>(),
-             Codec<std::vector<U>>::encode(std::move(values)));
-  }
-
-  void send(int dest, int tag, std::string&& text) {
-    util::require(tag >= 0, "Comm::send: user tags must be non-negative");
-    send_raw(dest, tag, type_hash_of<std::string>(),
-             Codec<std::string>::encode(std::move(text)));
-  }
-
-  template <class T>
-  T recv(int source = kAnySource, int tag = kAnyTag,
-         RecvStatus* status = nullptr) {
-    RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != type_hash_of<T>()) {
-      throw MpTypeError(
-          "Comm::recv: matched message has a different payload type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return Codec<T>::decode(message.payload);
-  }
-
-  /// Zero-copy receive of a vector payload: the returned view owns the
-  /// message buffer and exposes the elements in place (no decode copy).
-  template <class U>
-  PayloadView<U> recv_view(int source = kAnySource, int tag = kAnyTag,
-                           RecvStatus* status = nullptr) {
-    RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != type_hash_of<std::vector<U>>()) {
-      throw MpTypeError(
-          "Comm::recv_view: matched message has a different payload type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return PayloadView<U>(std::move(message.payload));
-  }
-
-  /// Combined shift: buffered send then blocking receive, so ring shifts
-  /// cannot deadlock.
-  template <class T>
-  T sendrecv(int dest, int send_tag, const T& value, int source,
-             int recv_tag) {
-    send(dest, send_tag, value);
-    return recv<T>(source, recv_tag);
-  }
-
-  // --- collectives ------------------------------------------------------------
-
-  void barrier() { detail::barrier(*this); }
-
-  template <class T>
-  void bcast(T& value, int root = 0) {
-    detail::bcast(*this, value, root);
-  }
-
-  /// Raw payload broadcast: root's buffer in, every rank's buffer out.
-  void bcast_raw(Buffer& payload, int root = 0) {
-    detail::bcast_raw(*this, payload, root);
-  }
-
-  template <class T, class Op>
-  T reduce(const T& value, Op op, int root = 0) {
-    return detail::reduce(*this, value, op, root);
-  }
-
-  template <class T, class Op>
-  T allreduce(const T& value, Op op) {
-    return detail::allreduce(*this, value, op);
-  }
-
-  /// In-place element-wise reduction of equal-length vectors, pipelined
-  /// in segments above the pipeline threshold. Root's vector holds the
-  /// result.
-  template <class U, class Op>
-  void reduce_elementwise(std::vector<U>& data, Op op, int root = 0) {
-    detail::reduce_elementwise(*this, data, op, root);
-  }
-
-  template <class U, class Op>
-  void allreduce_elementwise(std::vector<U>& data, Op op) {
-    detail::allreduce_elementwise(*this, data, op);
-  }
-
-  template <class T>
-  T scatter(const std::vector<T>& values, int root = 0) {
-    return detail::scatter(*this, values, root);
-  }
-
-  /// Zero-copy scatter of pre-built payload blobs (one Buffer per rank).
-  Buffer scatter_raw(std::vector<Buffer> blobs, int root = 0) {
-    return detail::scatter_raw(*this, std::move(blobs), root);
-  }
-
-  template <class T>
-  std::vector<T> gather(const T& value, int root = 0) {
-    return detail::gather(*this, value, root);
-  }
-
-  /// Zero-copy gather of payload blobs; non-root ranks return empty.
-  std::vector<Buffer> gather_raw(Buffer blob, int root = 0) {
-    return detail::gather_raw(*this, std::move(blob), root);
-  }
-
-  template <class T>
-  std::vector<T> allgather(const T& value) {
-    return detail::allgather(*this, value);
-  }
-
-  /// Zero-copy allgather: move this rank's vector in, get a read-only
-  /// view of every rank's elements back. All views alias the one packed
-  /// broadcast frame — no per-rank decode copies.
-  template <class U>
-  std::vector<PayloadView<U>> allgather_view(std::vector<U>&& values) {
-    return detail::allgather_view(*this, std::move(values));
-  }
-
-  /// In-place ring allreduce for any element count (uneven segments) and
-  /// any trivially copyable element.
-  template <class U, class Op>
-  void ring_allreduce(std::vector<U>& data, Op op) {
-    detail::ring_allreduce(*this, data, op);
-  }
-
-  std::vector<double> ring_allreduce_sum(std::vector<double> data) {
-    return detail::ring_allreduce_sum(*this, std::move(data));
-  }
-
-  // --- raw transport (used by the shared collective algorithms) -----------------
-
-  /// Segment size for pipelined tree collectives; 0 means "never
-  /// segment" (the host default — frames are refcounted in shared
-  /// memory, so forwarding a whole payload is free and splitting it
-  /// only adds assembly copies).
-  std::size_t pipeline_segment_bytes() const {
+  /// 0 ("never segment") unless WorldOptions::pipeline_segment_bytes
+  /// forces the segmented protocol: frames are refcounted in shared
+  /// memory, so forwarding a whole payload is free and splitting it only
+  /// adds assembly copies.
+  std::size_t pipeline_segment_bytes() const override {
     return world_->pipeline_segment_bytes;
   }
 
-  void send_raw(int dest, int tag, std::size_t type_hash, Buffer payload);
-  RawMessage recv_raw(int source, int tag);
+  void send_raw(int dest, int tag, std::size_t type_hash,
+                Buffer payload) override;
+  RawMessage recv_raw(int source, int tag) override;
 
-  /// Non-throwing timed receive: true and *out filled when a match
-  /// arrives within `timeout_s`, false on timeout. A zero (or negative)
-  /// timeout is a poll: the mailbox is scanned once and the call
-  /// returns immediately, never blocking. Used by pollers (the cluster
-  /// master, a worker's cancel check) that must keep running while
-  /// peers are silent.
+  /// Timed receive on the steady clock. A zero (or negative) timeout
+  /// scans the mailbox once and returns immediately, never blocking.
   bool recv_raw_timed(int source, int tag, double timeout_s,
-                      RawMessage* out);
+                      RawMessage* out) override;
 
-  /// Outbound traffic of `rank` so far (default: this rank). Counters
-  /// are world-wide, so the master can snapshot every rank's totals.
-  WireStats wire_stats(int rank = -1) const;
+  WireStats wire_stats(int rank = -1) const override;
+
+  /// Steady-clock seconds.
+  double now() override;
 
  private:
   detail::WorldState* world_;

@@ -109,6 +109,18 @@ WireStats SimComm::wire_stats(int rank) const {
   return stats;
 }
 
+void SimComm::charge_ops(double ops) {
+  if (ops > 0.0) {
+    ctx_->compute(ops);
+  }
+}
+
+void SimComm::charge_seconds(double seconds) {
+  if (seconds > 0.0) {
+    ctx_->compute(ctx_->spec().us_to_ops(seconds * 1e6));
+  }
+}
+
 RawMessage SimComm::recv_raw(int source, int tag) {
   util::require(source == kAnySource || (source >= 0 && source < size()),
                 "SimComm::recv: source rank out of range");

@@ -9,7 +9,7 @@
 
 #include "mp/chaos.hpp"
 #include "mp/collectives.hpp"
-#include "mp/comm.hpp"  // kAnySource/kAnyTag/RecvStatus shared with the host world
+#include "mp/endpoint.hpp"
 #include "mp/message.hpp"
 #include "sim/machine.hpp"
 #include "util/rng.hpp"
@@ -108,174 +108,48 @@ struct SimWorldState {
 
 }  // namespace detail
 
-/// One rank's endpoint on the simulated cluster. Same API surface as the
-/// host-world Comm; timing comes from the machine model: sends charge the
+/// One rank's endpoint on the simulated cluster (see mp::Endpoint for
+/// the API). Timing comes from the machine model: sends charge the
 /// software overhead plus bytes/bandwidth to the sender, and a receive
 /// completes no earlier than send-completion + latency (the rank "waits
 /// for the wire" in virtual time).
-class SimComm {
+class SimComm final : public Endpoint {
  public:
   SimComm(detail::SimWorldState& world, sim::Context& ctx, int rank)
       : world_(&world), ctx_(&ctx), rank_(rank) {}
 
-  int rank() const { return rank_; }
-  int size() const { return world_->size; }
+  int rank() const override { return rank_; }
+  int size() const override { return world_->size; }
 
   /// The simulated execution context of this rank's node (e.g. for
   /// charging local compute).
   sim::Context& context() { return *ctx_; }
 
-  template <class T>
-  void send(int dest, int tag, const T& value) {
-    util::require(tag >= 0, "SimComm::send: user tags must be non-negative");
-    send_raw(dest, tag, type_hash_of<T>(), Codec<T>::encode(value));
-  }
-
-  /// Move-of-ownership send (zero payload copies), as on the host Comm.
-  template <class U>
-  void send(int dest, int tag, std::vector<U>&& values) {
-    util::require(tag >= 0, "SimComm::send: user tags must be non-negative");
-    send_raw(dest, tag, type_hash_of<std::vector<U>>(),
-             Codec<std::vector<U>>::encode(std::move(values)));
-  }
-
-  void send(int dest, int tag, std::string&& text) {
-    util::require(tag >= 0, "SimComm::send: user tags must be non-negative");
-    send_raw(dest, tag, type_hash_of<std::string>(),
-             Codec<std::string>::encode(std::move(text)));
-  }
-
-  template <class T>
-  T recv(int source = kAnySource, int tag = kAnyTag,
-         RecvStatus* status = nullptr) {
-    RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != type_hash_of<T>()) {
-      throw MpTypeError(
-          "SimComm::recv: matched message has a different payload type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return Codec<T>::decode(message.payload);
-  }
-
-  /// Zero-copy receive of a vector payload (see Comm::recv_view).
-  template <class U>
-  PayloadView<U> recv_view(int source = kAnySource, int tag = kAnyTag,
-                           RecvStatus* status = nullptr) {
-    RawMessage message = recv_raw(source, tag);
-    if (message.type_hash != type_hash_of<std::vector<U>>()) {
-      throw MpTypeError(
-          "SimComm::recv_view: matched message has a different payload type");
-    }
-    if (status != nullptr) {
-      status->source = message.source;
-      status->tag = message.tag;
-    }
-    return PayloadView<U>(std::move(message.payload));
-  }
-
-  template <class T>
-  T sendrecv(int dest, int send_tag, const T& value, int source,
-             int recv_tag) {
-    send(dest, send_tag, value);
-    return recv<T>(source, recv_tag);
-  }
-
-  void barrier() { detail::barrier(*this); }
-
-  template <class T>
-  void bcast(T& value, int root = 0) {
-    detail::bcast(*this, value, root);
-  }
-
-  void bcast_raw(Buffer& payload, int root = 0) {
-    detail::bcast_raw(*this, payload, root);
-  }
-
-  template <class T, class Op>
-  T reduce(const T& value, Op op, int root = 0) {
-    return detail::reduce(*this, value, op, root);
-  }
-
-  template <class T, class Op>
-  T allreduce(const T& value, Op op) {
-    return detail::allreduce(*this, value, op);
-  }
-
-  template <class U, class Op>
-  void reduce_elementwise(std::vector<U>& data, Op op, int root = 0) {
-    detail::reduce_elementwise(*this, data, op, root);
-  }
-
-  template <class U, class Op>
-  void allreduce_elementwise(std::vector<U>& data, Op op) {
-    detail::allreduce_elementwise(*this, data, op);
-  }
-
-  template <class T>
-  T scatter(const std::vector<T>& values, int root = 0) {
-    return detail::scatter(*this, values, root);
-  }
-
-  Buffer scatter_raw(std::vector<Buffer> blobs, int root = 0) {
-    return detail::scatter_raw(*this, std::move(blobs), root);
-  }
-
-  template <class T>
-  std::vector<T> gather(const T& value, int root = 0) {
-    return detail::gather(*this, value, root);
-  }
-
-  std::vector<Buffer> gather_raw(Buffer blob, int root = 0) {
-    return detail::gather_raw(*this, std::move(blob), root);
-  }
-
-  template <class T>
-  std::vector<T> allgather(const T& value) {
-    return detail::allgather(*this, value);
-  }
-
-  /// Zero-copy allgather of vector payloads (see Comm::allgather_view).
-  template <class U>
-  std::vector<PayloadView<U>> allgather_view(std::vector<U>&& values) {
-    return detail::allgather_view(*this, std::move(values));
-  }
-
-  template <class U, class Op>
-  void ring_allreduce(std::vector<U>& data, Op op) {
-    detail::ring_allreduce(*this, data, op);
-  }
-
-  std::vector<double> ring_allreduce_sum(std::vector<double> data) {
-    return detail::ring_allreduce_sum(*this, std::move(data));
-  }
-
-  // --- raw transport (shared collective algorithms call these) ---------------
-
   /// Segment size for pipelined tree collectives, from the cluster spec.
-  std::size_t pipeline_segment_bytes() const {
+  std::size_t pipeline_segment_bytes() const override {
     return world_->spec.pipeline_segment_bytes;
   }
 
-  void send_raw(int dest, int tag, std::size_t type_hash, Buffer payload);
-  RawMessage recv_raw(int source, int tag);
+  void send_raw(int dest, int tag, std::size_t type_hash,
+                Buffer payload) override;
+  RawMessage recv_raw(int source, int tag) override;
 
-  /// Outbound traffic of `rank` so far (default: this rank), in virtual
-  /// time; mirrors Comm::wire_stats.
-  WireStats wire_stats(int rank = -1) const;
-
-  /// Non-throwing timed receive in *virtual* time: true and *out filled
-  /// when a match shows up within `timeout_s` virtual seconds, false
-  /// once the deadline passes with no match. A zero (or negative,
-  /// clamped to zero) timeout is a poll: the inbox is scanned once and
-  /// the rank yields exactly once before timing out, so polling costs
-  /// one deterministic scheduler step. A message matched just before
-  /// the deadline is still delivered (its remaining wire time is
-  /// waited out even past the deadline).
+  /// Timed receive in *virtual* time. A zero (or negative, clamped to
+  /// zero) timeout is a poll: the inbox is scanned once and the rank
+  /// yields exactly once before timing out, so polling costs one
+  /// deterministic scheduler step. A message matched just before the
+  /// deadline is still delivered (its remaining wire time is waited out
+  /// even past the deadline).
   bool recv_raw_timed(int source, int tag, double timeout_s,
-                      RawMessage* out);
+                      RawMessage* out) override;
+
+  WireStats wire_stats(int rank = -1) const override;
+
+  /// Virtual seconds; charges advance this rank's node clock.
+  double now() override { return ctx_->now(); }
+  bool virtual_time() const override { return true; }
+  void charge_ops(double ops) override;
+  void charge_seconds(double seconds) override;
 
  private:
   detail::SimWorldState* world_;

@@ -281,6 +281,20 @@ TEST(ClusterOptionsTest, ValidateRejectsBadCheckpointAndReliabilityKnobs) {
   }
 }
 
+TEST(ClusterOptionsTest, CheckpointClaimingMoreDoneThanTasksIsRejected) {
+  Writer writer;
+  writer.u32(0x5042434BU);  // "PBCK"
+  writer.u32(1);            // version
+  writer.u32(2);            // task_count
+  writer.u32(3);            // done_count > task_count
+  ClusterCheckpoint inconsistent;
+  inconsistent.bytes = writer.take();
+  EXPECT_THROW((void)inconsistent.completed_tasks(), util::PreconditionError);
+  ClusterOptions options;
+  options.restart_from = &inconsistent;
+  EXPECT_THROW(options.validate(), util::PreconditionError);
+}
+
 TEST(ClusterChaosTest, EngineSurvivesWireChaosWithReliability) {
   FaultPlan faults;
   faults.transport.seed = 13;

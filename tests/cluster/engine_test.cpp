@@ -131,6 +131,31 @@ TEST(ClusterEngineTest, AllWorkersDeadIsAClearErrorNotAHang) {
   }
 }
 
+TEST(ClusterEngineTest, ForgedDoneWithOutOfRangeTaskIdIsAClusterError) {
+  const std::vector<std::vector<std::byte>> tasks = index_tasks(3);
+  try {
+    mp::SimWorld::run(2, [&](mp::SimComm& comm) {
+      if (comm.rank() == 0) {
+        run_cluster_tasks(comm, tasks, square_task(1e6));
+        return;
+      }
+      // A raw rank speaking the engine protocol: a Done for the task id
+      // one past the end of the task list.
+      Writer writer;
+      writer.i32(static_cast<std::int32_t>(tasks.size()));
+      writer.u64(1);  // claim
+      writer.u32(0);  // empty result blob
+      comm.send_raw(0, detail::kTagDone,
+                    mp::type_hash_of<std::vector<std::byte>>(), writer.take());
+    });
+    FAIL() << "expected ClusterError";
+  } catch (const ClusterError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("rank 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("task id 3"), std::string::npos) << what;
+  }
+}
+
 TEST(ClusterEngineTest, LostResultIsDetectedAndRequeued) {
   FaultPlan faults;
   faults.drops.push_back(DropResultFault{1, 0});

@@ -42,7 +42,7 @@ ReliabilityOptions fast_reliability() {
 /// this rank's own work is flushed, so a peer whose last ack chaos ate
 /// can still complete its flush — a rank that just exits re-creates the
 /// very message loss the layer exists to absorb.
-void linger(ReliableComm<mp::SimComm>& reliable, double window_s = 5.0) {
+void linger(ReliableComm& reliable, double window_s = 5.0) {
   mp::RawMessage raw;
   while (reliable.recv_raw_timed(mp::kAnySource, /*tag=*/1 << 28, window_s,
                                  &raw)) {
@@ -99,7 +99,7 @@ TEST(ReliableCommTest, InOrderExactlyOnceDeliveryUnderDropAndDuplicate) {
   mp::SimWorld::run(
       2,
       [&](mp::SimComm& comm) {
-        ReliableComm<mp::SimComm> reliable(comm, fast_reliability());
+        ReliableComm reliable(comm, fast_reliability());
         if (comm.rank() == 1) {
           for (int i = 0; i < kSends; ++i) {
             reliable.send(0, 5, i);
@@ -135,7 +135,7 @@ TEST(ReliableCommTest, CollectivesSurviveChaosWithCorrectResults) {
   mp::SimWorld::run(
       kRanks,
       [&](mp::SimComm& comm) {
-        ReliableComm<mp::SimComm> reliable(comm, fast_reliability());
+        ReliableComm reliable(comm, fast_reliability());
 
         int token = comm.rank() == 0 ? 1234 : -1;
         reliable.bcast(token, 0);
@@ -187,7 +187,7 @@ TEST(ReliableCommTest, RetransmitCountsReplayExactlyOnSim) {
     mp::SimWorld::run(
         3,
         [&](mp::SimComm& comm) {
-          ReliableComm<mp::SimComm> reliable(comm, fast_reliability());
+          ReliableComm reliable(comm, fast_reliability());
           const std::vector<int> all = reliable.allgather(comm.rank() + 7);
           EXPECT_EQ(all, (std::vector<int>{7, 8, 9}));
           std::vector<double> sums =
@@ -224,7 +224,7 @@ TEST(ReliableCommTest, FlushAbandonsAfterBudgetWhenPeerNeverAcks) {
       [&](mp::SimComm& comm) {
         ReliabilityOptions options = fast_reliability();
         options.max_retransmits = 3;
-        ReliableComm<mp::SimComm> reliable(comm, options);
+        ReliableComm reliable(comm, options);
         if (comm.rank() == 1) {
           // Rank 0 never reads its inbox, so no ack ever comes back.
           reliable.send(0, 5, 42);
@@ -242,7 +242,7 @@ TEST(ReliableCommTest, FireAndForgetSkipsTheRetryMachinery) {
   mp::SimWorld::run(
       2,
       [&](mp::SimComm& comm) {
-        ReliableComm<mp::SimComm> reliable(comm, fast_reliability());
+        ReliableComm reliable(comm, fast_reliability());
         if (comm.rank() == 1) {
           reliable.send_raw_fire_and_forget(
               0, 5, mp::type_hash_of<int>(), mp::Codec<int>::encode(99));
@@ -266,7 +266,7 @@ TEST(ReliableCommTest, UnenvelopedMessageFailsLoudly) {
             if (comm.rank() == 1) {
               comm.send(0, 5, 7);  // bare transport: no envelope
             } else {
-              ReliableComm<mp::SimComm> reliable(comm, fast_reliability());
+              ReliableComm reliable(comm, fast_reliability());
               reliable.recv<int>(1, 5);
             }
           },
@@ -281,7 +281,7 @@ TEST(ReliableCommTest, RecvTimesOutAsDeadlockWhenNothingArrives) {
         if (comm.rank() == 0) {
           ReliabilityOptions options = fast_reliability();
           options.recv_timeout_s = 0.2;
-          ReliableComm<mp::SimComm> reliable(comm, options);
+          ReliableComm reliable(comm, options);
           EXPECT_THROW(reliable.recv<int>(1, 5), mp::MpDeadlockError);
         }
       },

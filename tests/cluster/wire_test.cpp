@@ -66,6 +66,14 @@ TEST(WireTest, TruncatedDecodeThrows) {
   }
 }
 
+TEST(WireTest, VectorCountLargerThanTheBufferThrowsBeforeAllocating) {
+  // A bare count of 2^32 - 1 elements with no element bytes behind it.
+  const std::vector<std::byte> bytes(4, std::byte{0xFF});
+  Reader reader(bytes);
+  using Pairs = std::vector<std::pair<std::string, long>>;
+  EXPECT_THROW((void)WireCodec<Pairs>::read(reader), WireError);
+}
+
 TEST(WireTest, CodecRoundTripsNestedTypes) {
   using Pairs = std::vector<std::pair<std::string, std::vector<int>>>;
   const Pairs value = {{"alpha", {1, 2, 3}}, {"", {}}, {"beta", {-7}}};
