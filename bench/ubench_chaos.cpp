@@ -22,18 +22,18 @@
 // and --smoke (the bench-smoke ctest) only shrinks the workload.
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "cluster/reliable.hpp"
+#include "harness.hpp"
 #include "mp/chaos.hpp"
 #include "mp/sim_world.hpp"
 
 namespace {
 
+namespace bench = pblpar::bench;
 using pblpar::cluster::ReliabilityOptions;
 using pblpar::cluster::ReliableComm;
 using pblpar::cluster::RetryStats;
@@ -172,12 +172,7 @@ RunTrace run_drop_level(double drop, int ranks, int messages_per_sender,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::smoke_flag(argc, argv);
 
   const int ranks = 4;
   const int messages = smoke ? 40 : 400;
@@ -190,22 +185,25 @@ int main(int argc, char** argv) {
   const double kOverheadBars[3] = {0.02, 0.10, 0.40};
 
   RunTrace traces[3];
+  bench::Json drop_levels = bench::Json::array();
   for (int i = 0; i < 3; ++i) {
     traces[i] =
         run_drop_level(kDrops[i], ranks, messages, doubles, kOverheadBars[i]);
     const DropRun& row = traces[i].row;
-    std::printf(
-        "drop %.0f%%: %lld KiB in %.4fs virtual -> %.2f MB/s goodput, "
-        "%llu data + %llu retransmit(s) (overhead %.4f, bar %.2f), "
-        "%llu dup(s) dropped, abandoned=%llu exactly_once=%s pass=%s\n",
-        row.drop * 100.0, static_cast<long long>(row.payload_bytes >> 10),
-        row.completion_s, row.goodput_mb_s,
-        static_cast<unsigned long long>(row.data_sent),
-        static_cast<unsigned long long>(row.retransmits), row.overhead,
-        kOverheadBars[i],
-        static_cast<unsigned long long>(row.duplicates_dropped),
-        static_cast<unsigned long long>(row.abandoned),
-        row.delivered_exactly_once ? "yes" : "no", row.pass ? "yes" : "no");
+    drop_levels.push(bench::show(
+        "drop", bench::Json::object(
+                    {{"drop", row.drop},
+                     {"payload_bytes", row.payload_bytes},
+                     {"completion_s", row.completion_s},
+                     {"goodput_mb_s", row.goodput_mb_s},
+                     {"data_sent", row.data_sent},
+                     {"retransmits", row.retransmits},
+                     {"duplicates_dropped", row.duplicates_dropped},
+                     {"abandoned", row.abandoned},
+                     {"overhead", row.overhead},
+                     {"overhead_bar", kOverheadBars[i]},
+                     {"exactly_once", row.delivered_exactly_once},
+                     {"pass", row.pass}})));
   }
 
   // Chaos must actually bite at 5% — otherwise the overhead bars above
@@ -216,51 +214,19 @@ int main(int argc, char** argv) {
   const RunTrace replay =
       run_drop_level(kDrops[2], ranks, messages, doubles, kOverheadBars[2]);
   const bool identical = replay.fingerprint == traces[2].fingerprint;
-  std::printf("replay: 5%%-drop run repeated -> %s (%zu fingerprint words)\n",
-              identical ? "bit-identical" : "DIVERGED",
-              replay.fingerprint.size());
 
-  const bool pass = traces[0].row.pass && traces[1].row.pass &&
-                    traces[2].row.pass && chaos_bit && identical;
-  std::printf("checks: goodput_rows=%s chaos_bit=%s replay_identical=%s\n",
-              (traces[0].row.pass && traces[1].row.pass && traces[2].row.pass)
-                  ? "yes"
-                  : "no",
-              chaos_bit ? "yes" : "no", identical ? "yes" : "no");
+  bench::Checks checks;
+  checks.add("goodput_rows",
+             traces[0].row.pass && traces[1].row.pass && traces[2].row.pass);
+  checks.add("chaos_bit", chaos_bit);
+  checks.add("replay_identical", identical);
+  checks.print();
 
-  std::string json = "{\n  \"bench\": \"ubench_chaos\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  json += "  \"drop_levels\": [\n";
-  char buffer[512];
-  for (int i = 0; i < 3; ++i) {
-    const DropRun& row = traces[i].row;
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "    {\"drop\":%.2f,\"payload_bytes\":%lld,\"completion_s\":%.6f,"
-        "\"goodput_mb_s\":%.3f,\"data_sent\":%llu,\"retransmits\":%llu,"
-        "\"duplicates_dropped\":%llu,\"abandoned\":%llu,\"overhead\":%.4f,"
-        "\"overhead_bar\":%.2f,\"exactly_once\":%s,\"pass\":%s}%s\n",
-        row.drop, static_cast<long long>(row.payload_bytes),
-        row.completion_s, row.goodput_mb_s,
-        static_cast<unsigned long long>(row.data_sent),
-        static_cast<unsigned long long>(row.retransmits),
-        static_cast<unsigned long long>(row.duplicates_dropped),
-        static_cast<unsigned long long>(row.abandoned), row.overhead,
-        kOverheadBars[i], row.delivered_exactly_once ? "true" : "false",
-        row.pass ? "true" : "false", i < 2 ? "," : "");
-    json += buffer;
-  }
-  json += "  ],\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"chaos_bit\": %s,\n  \"replay_identical\": %s,\n"
-                "  \"pass\": %s\n}\n",
-                chaos_bit ? "true" : "false", identical ? "true" : "false",
-                pass ? "true" : "false");
-  json += buffer;
-
-  std::ofstream out("BENCH_chaos.json");
-  out << json;
-  out.close();
-  std::printf("wrote BENCH_chaos.json\n");
-  return pass ? 0 : 1;
+  bench::Json doc = bench::document("ubench_chaos", smoke);
+  doc.set("drop_levels", std::move(drop_levels));
+  doc.set("chaos_bit", chaos_bit);
+  doc.set("replay_identical", identical);
+  doc.set("pass", checks.all());
+  bench::write_json("BENCH_chaos.json", doc);
+  return checks.all() ? 0 : 1;
 }

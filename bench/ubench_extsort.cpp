@@ -20,12 +20,8 @@
 // the bench-smoke ctest label uses it so the binary stays exercised.
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <utility>
@@ -35,6 +31,7 @@
 #include <sys/resource.h>
 #endif
 
+#include "harness.hpp"
 #include "mapreduce/defs.hpp"
 #include "mapreduce/job.hpp"
 #include "oocore/extsort.hpp"
@@ -46,18 +43,13 @@
 namespace {
 
 namespace fs = std::filesystem;
+namespace bench = pblpar::bench;
 using pblpar::oocore::ExtSortOptions;
 using pblpar::oocore::ExtSortReport;
 using pblpar::oocore::ScratchDir;
 using pblpar::oocore::SpillReader;
 using pblpar::oocore::SpillWriter;
 using pblpar::util::Rng;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Process high-water resident set in bytes (0 where unsupported).
 std::int64_t max_rss_bytes() {
@@ -172,10 +164,10 @@ BoundedRssResult run_bounded_rss(std::int64_t budget_bytes) {
                             static_cast<std::size_t>(budget_bytes) / 4);
 
   result.rss_before_bytes = max_rss_bytes();
-  const double start = now_s();
-  const ExtSortReport report = pblpar::oocore::sort_file<std::uint64_t>(
-      input, output, opts);
-  result.seconds = now_s() - start;
+  ExtSortReport report;
+  result.seconds = bench::elapsed_s([&] {
+    report = pblpar::oocore::sort_file<std::uint64_t>(input, output, opts);
+  });
   result.rss_after_bytes = max_rss_bytes();
   result.rss_growth_bytes = result.rss_after_bytes - result.rss_before_bytes;
   result.initial_runs = report.initial_runs;
@@ -190,12 +182,13 @@ BoundedRssResult run_bounded_rss(std::int64_t budget_bytes) {
   return result;
 }
 
+/// std::sort vs sort_file at one size; the ratio compares their mins.
 struct CrossoverRow {
   std::int64_t records = 0;
   std::int64_t bytes = 0;
   bool external = false;
-  double std_sort_seconds = 0.0;
-  double ext_sort_seconds = 0.0;
+  bench::Samples std_sort;
+  bench::Samples ext_sort;
   double ratio = 0.0;
 };
 
@@ -216,43 +209,43 @@ CrossoverRow run_crossover_point(std::int64_t records,
     SpillReader reader(input, std::size_t{1} << 20);
     reader.read(data.data(), data.size() * sizeof(std::uint64_t));
   }
-  row.std_sort_seconds = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < repeats; ++r) {
+  row.std_sort = bench::trials(repeats, [&] {
     std::vector<std::uint64_t> copy = data;
-    const double start = now_s();
-    std::sort(copy.begin(), copy.end());
-    row.std_sort_seconds = std::min(row.std_sort_seconds, now_s() - start);
-  }
+    return bench::elapsed_s([&] { std::sort(copy.begin(), copy.end()); });
+  });
   data.clear();
   data.shrink_to_fit();
 
   ExtSortOptions opts;
   opts.memory_budget_bytes = static_cast<std::size_t>(budget_bytes);
   opts.io_buffer_bytes = std::size_t{256} << 10;
-  row.ext_sort_seconds = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < repeats; ++r) {
+  int repeat = 0;
+  bool verified = true;
+  row.ext_sort = bench::trials(repeats, [&] {
     const fs::path output = staging.next_path("output");
-    const double start = now_s();
-    const ExtSortReport report = pblpar::oocore::sort_file<std::uint64_t>(
-        input, output, opts);
-    row.ext_sort_seconds = std::min(row.ext_sort_seconds, now_s() - start);
+    ExtSortReport report;
+    const double seconds = bench::elapsed_s([&] {
+      report = pblpar::oocore::sort_file<std::uint64_t>(input, output, opts);
+    });
     row.external = report.external;
-    if (r + 1 == repeats && !verify_sorted_file(output, checksum)) {
-      row.ratio = -1.0;  // flag verification failure loudly in the JSON
-      return row;
+    if (++repeat == repeats) {
+      verified = verify_sorted_file(output, checksum);
     }
     std::error_code ec;
     fs::remove(output, ec);
-  }
-  row.ratio = row.ext_sort_seconds / row.std_sort_seconds;
+    return seconds;
+  });
+  // A verification failure is flagged loudly in the JSON as ratio -1.
+  row.ratio = verified ? row.ext_sort.min() / row.std_sort.min() : -1.0;
   return row;
 }
 
+/// Unbudgeted vs budgeted word count; overheads compare their mins.
 struct SpillShuffleResult {
   std::int64_t input_bytes = 0;
-  double in_memory_seconds = 0.0;
-  double quarter_budget_seconds = 0.0;
-  double half_budget_seconds = 0.0;
+  bench::Samples in_memory;
+  bench::Samples quarter_budget;
+  bench::Samples half_budget;
   std::int64_t quarter_spilled_runs = 0;
   std::int64_t quarter_spilled_bytes = 0;
   double quarter_overhead = 0.0;
@@ -288,35 +281,33 @@ SpillShuffleResult run_spill_shuffle(int documents, int repeats,
 
   const auto time_runs = [&](std::vector<std::pair<std::string, long>>* out,
                              pblpar::mapreduce::RunReport* report) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < repeats; ++r) {
-      const double start = now_s();
-      auto rows = job.run(inputs, report);
-      best = std::min(best, now_s() - start);
+    return bench::trials(repeats, [&] {
+      std::vector<std::pair<std::string, long>> rows;
+      const double seconds =
+          bench::elapsed_s([&] { rows = job.run(inputs, report); });
       if (out != nullptr) {
         *out = std::move(rows);
       }
-    }
-    return best;
+      return seconds;
+    });
   };
 
   std::vector<std::pair<std::string, long>> baseline;
-  result.in_memory_seconds = time_runs(&baseline, nullptr);
+  result.in_memory = time_runs(&baseline, nullptr);
 
   pblpar::mapreduce::RunReport quarter_report;
   std::vector<std::pair<std::string, long>> quarter_rows;
   job.memory_budget_bytes(std::max<std::int64_t>(input_bytes / 4, 1 << 16));
-  result.quarter_budget_seconds = time_runs(&quarter_rows, &quarter_report);
+  result.quarter_budget = time_runs(&quarter_rows, &quarter_report);
   result.quarter_spilled_runs = quarter_report.spilled_runs;
   result.quarter_spilled_bytes = quarter_report.spilled_bytes;
 
   job.memory_budget_bytes(std::max<std::int64_t>(input_bytes / 2, 1 << 16));
-  result.half_budget_seconds = time_runs(nullptr, nullptr);
+  result.half_budget = time_runs(nullptr, nullptr);
 
   result.quarter_overhead =
-      result.quarter_budget_seconds / result.in_memory_seconds;
-  result.half_overhead =
-      result.half_budget_seconds / result.in_memory_seconds;
+      result.quarter_budget.min() / result.in_memory.min();
+  result.half_overhead = result.half_budget.min() / result.in_memory.min();
   result.identical = baseline == quarter_rows;
   result.pass = result.identical && result.quarter_spilled_runs > 0 &&
                 result.quarter_overhead <= overhead_bar &&
@@ -327,25 +318,24 @@ SpillShuffleResult run_spill_shuffle(int documents, int repeats,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::Json doc = bench::document("ubench_extsort", smoke);
 
   // Phase 1 first: ru_maxrss is a lifetime high-water mark.
   const std::int64_t budget =
       smoke ? (std::int64_t{1} << 20) : (std::int64_t{8} << 20);
   const BoundedRssResult rss = run_bounded_rss(budget);
-  std::printf(
-      "bounded-rss: dataset %lld MiB vs budget %lld MiB -> rss growth "
-      "%.1f MiB in %.2fs (%d runs, %d merge passes) sorted=%s pass=%s\n",
-      static_cast<long long>(rss.dataset_bytes >> 20),
-      static_cast<long long>(rss.budget_bytes >> 20),
-      static_cast<double>(rss.rss_growth_bytes) / (1 << 20), rss.seconds,
-      rss.initial_runs, rss.merge_passes, rss.sorted_ok ? "yes" : "no",
-      rss.pass ? "yes" : "no");
+  doc.set("bounded_rss",
+          bench::show("bounded_rss",
+                      bench::Json::object(
+                          {{"dataset_bytes", rss.dataset_bytes},
+                           {"budget_bytes", rss.budget_bytes},
+                           {"rss_growth_bytes", rss.rss_growth_bytes},
+                           {"seconds", rss.seconds},
+                           {"initial_runs", rss.initial_runs},
+                           {"merge_passes", rss.merge_passes},
+                           {"sorted_ok", rss.sorted_ok},
+                           {"pass", rss.pass}})));
 
   // Phase 2: crossover sweep with a fixed budget.
   const std::int64_t crossover_budget =
@@ -354,23 +344,19 @@ int main(int argc, char** argv) {
       smoke ? std::vector<std::int64_t>{1 << 14, 1 << 18}
             : std::vector<std::int64_t>{1 << 14, 1 << 16, 1 << 18, 1 << 20,
                                         1 << 22};
-  std::vector<CrossoverRow> crossover;
-  for (const std::int64_t records : sizes) {
-    crossover.push_back(
-        run_crossover_point(records, crossover_budget, smoke ? 1 : 3));
-    const CrossoverRow& row = crossover.back();
-    std::printf(
-        "crossover: %8lld records (%5lld KiB) %s std::sort %.4fs "
-        "ext %.4fs ratio %.2f\n",
-        static_cast<long long>(row.records),
-        static_cast<long long>(row.bytes >> 10),
-        row.external ? "external " : "in-budget",
-        row.std_sort_seconds, row.ext_sort_seconds, row.ratio);
-  }
   bool crossover_ok = true;
   double largest_in_budget_ratio = 0.0;
   bool saw_external = false;
-  for (const CrossoverRow& row : crossover) {
+  bench::Json rows = bench::Json::array();
+  for (const std::int64_t records : sizes) {
+    const CrossoverRow row =
+        run_crossover_point(records, crossover_budget, smoke ? 1 : 3);
+    bench::Json json = bench::Json::object({{"records", row.records},
+                                            {"bytes", row.bytes},
+                                            {"external", row.external}});
+    bench::put_timing(json, "std_sort_", row.std_sort.min(), row.std_sort);
+    bench::put_timing(json, "ext_sort_", row.ext_sort.min(), row.ext_sort);
+    rows.push(bench::show("crossover", std::move(json.set("ratio", row.ratio))));
     if (row.ratio < 0.0) {
       crossover_ok = false;  // a verification failure
     }
@@ -388,84 +374,38 @@ int main(int argc, char** argv) {
       smoke ? std::numeric_limits<double>::infinity() : 5.0;
   crossover_ok = crossover_ok && saw_external &&
                  largest_in_budget_ratio <= in_budget_bar;
+  doc.set("crossover",
+          bench::Json::object({{"budget_bytes", crossover_budget},
+                               {"rows", std::move(rows)},
+                               {"pass", crossover_ok}}));
 
   // Phase 3: spillable shuffle vs in-memory shuffle.
   const double overhead_bar =
       smoke ? std::numeric_limits<double>::infinity() : 1.5;
   const SpillShuffleResult shuffle =
       run_spill_shuffle(smoke ? 800 : 20000, smoke ? 1 : 3, overhead_bar);
-  std::printf(
-      "spill-shuffle: input %lld KiB, in-memory %.4fs, budget/4 %.4fs "
-      "(%.2fx, %lld runs), budget/2 %.4fs (%.2fx) identical=%s pass=%s\n",
-      static_cast<long long>(shuffle.input_bytes >> 10),
-      shuffle.in_memory_seconds, shuffle.quarter_budget_seconds,
-      shuffle.quarter_overhead,
-      static_cast<long long>(shuffle.quarter_spilled_runs),
-      shuffle.half_budget_seconds, shuffle.half_overhead,
-      shuffle.identical ? "yes" : "no", shuffle.pass ? "yes" : "no");
+  bench::Json spill =
+      bench::Json::object({{"input_bytes", shuffle.input_bytes}});
+  bench::put_timing(spill, "in_memory_", shuffle.in_memory.min(),
+                    shuffle.in_memory);
+  bench::put_timing(spill, "quarter_budget_", shuffle.quarter_budget.min(),
+                    shuffle.quarter_budget);
+  bench::put_timing(spill, "half_budget_", shuffle.half_budget.min(),
+                    shuffle.half_budget);
+  spill.set("quarter_overhead", shuffle.quarter_overhead)
+      .set("half_overhead", shuffle.half_overhead)
+      .set("quarter_spilled_runs", shuffle.quarter_spilled_runs)
+      .set("quarter_spilled_bytes", shuffle.quarter_spilled_bytes)
+      .set("identical", shuffle.identical)
+      .set("pass", shuffle.pass);
+  doc.set("spill_shuffle", bench::show("spill_shuffle", std::move(spill)));
 
-  std::printf("checks: bounded_rss=%s crossover=%s spill_overhead<=1.5x=%s\n",
-              rss.pass ? "yes" : "no", crossover_ok ? "yes" : "no",
-              shuffle.pass ? "yes" : "no");
-
-  std::string json = "{\n  \"bench\": \"ubench_extsort\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  char buffer[512];
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"bounded_rss\": {\"dataset_bytes\":%lld,\"budget_bytes\":%lld,"
-      "\"rss_growth_bytes\":%lld,\"seconds\":%.6f,\"initial_runs\":%d,"
-      "\"merge_passes\":%d,\"sorted_ok\":%s,\"pass\":%s},\n",
-      static_cast<long long>(rss.dataset_bytes),
-      static_cast<long long>(rss.budget_bytes),
-      static_cast<long long>(rss.rss_growth_bytes), rss.seconds,
-      rss.initial_runs, rss.merge_passes, rss.sorted_ok ? "true" : "false",
-      rss.pass ? "true" : "false");
-  json += buffer;
-  json += "  \"crossover\": {\n";
-  std::snprintf(buffer, sizeof(buffer), "    \"budget_bytes\": %lld,\n",
-                static_cast<long long>(crossover_budget));
-  json += buffer;
-  json += "    \"rows\": [";
-  for (std::size_t i = 0; i < crossover.size(); ++i) {
-    const CrossoverRow& row = crossover[i];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "%s\n      {\"records\":%lld,\"bytes\":%lld,\"external\":%s,"
-        "\"std_sort_seconds\":%.6f,\"ext_sort_seconds\":%.6f,"
-        "\"ratio\":%.4f}",
-        i == 0 ? "" : ",", static_cast<long long>(row.records),
-        static_cast<long long>(row.bytes), row.external ? "true" : "false",
-        row.std_sort_seconds, row.ext_sort_seconds, row.ratio);
-    json += buffer;
-  }
-  std::snprintf(buffer, sizeof(buffer), "\n    ],\n    \"pass\": %s\n  },\n",
-                crossover_ok ? "true" : "false");
-  json += buffer;
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"spill_shuffle\": {\"input_bytes\":%lld,"
-      "\"in_memory_seconds\":%.6f,\"quarter_budget_seconds\":%.6f,"
-      "\"half_budget_seconds\":%.6f,\"quarter_overhead\":%.4f,"
-      "\"half_overhead\":%.4f,\"quarter_spilled_runs\":%lld,"
-      "\"quarter_spilled_bytes\":%lld,\"identical\":%s,\"pass\":%s},\n",
-      static_cast<long long>(shuffle.input_bytes),
-      shuffle.in_memory_seconds, shuffle.quarter_budget_seconds,
-      shuffle.half_budget_seconds, shuffle.quarter_overhead,
-      shuffle.half_overhead,
-      static_cast<long long>(shuffle.quarter_spilled_runs),
-      static_cast<long long>(shuffle.quarter_spilled_bytes),
-      shuffle.identical ? "true" : "false", shuffle.pass ? "true" : "false");
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"pass\": %s\n}\n",
-                (rss.pass && crossover_ok && shuffle.pass) ? "true"
-                                                           : "false");
-  json += buffer;
-
-  std::ofstream out("BENCH_extsort.json");
-  out << json;
-  out.close();
-  std::printf("wrote BENCH_extsort.json\n");
-  return (rss.pass && crossover_ok && shuffle.pass) ? 0 : 1;
+  bench::Checks checks;
+  checks.add("bounded_rss", rss.pass);
+  checks.add("crossover", crossover_ok);
+  checks.add("spill_overhead<=1.5x", shuffle.pass);
+  checks.print();
+  doc.set("pass", checks.all());
+  bench::write_json("BENCH_extsort.json", doc);
+  return checks.all() ? 0 : 1;
 }

@@ -3,14 +3,12 @@
 // driver on the simulated cluster engine. main() also emits
 // BENCH_mapreduce.json with the deterministic virtual-time fault-
 // tolerance numbers (clean / straggler / crash) before running the
-// google-benchmark suite.
+// google-benchmark suite; --benchmark_filter='^$' runs only that phase.
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
-#include <iostream>
-
 #include "cluster/jobs.hpp"
+#include "harness.hpp"
 #include "mapreduce/job.hpp"
 #include "mapreduce/jobs.hpp"
 #include "mp/sim_world.hpp"
@@ -119,6 +117,8 @@ cluster::ClusterProfile run_scenario(const ClusterScenario& scenario,
   return profile;
 }
 
+/// The scenarios' virtual makespans (seconds of Sim time) and engine
+/// counters; no host timing, so every number is exact.
 void emit_bench_json(const char* path) {
   const auto docs = corpus(120);
   ClusterScenario clean{"wordcount_clean", {}};
@@ -127,28 +127,22 @@ void emit_bench_json(const char* path) {
   ClusterScenario crash{"wordcount_worker_crash", {}};
   crash.faults.crashes.push_back(cluster::CrashFault{2, 1});
 
-  std::ofstream out(path);
-  out.precision(17);
-  out << "{\"schema\":\"pblpar.bench.v1\",\"suite\":\"mapreduce\","
-      << "\"results\":[";
-  bool first = true;
+  bench::Json scenarios = bench::Json::array();
   for (const ClusterScenario* scenario : {&clean, &straggler, &crash}) {
-    const cluster::ClusterProfile profile = run_scenario(*scenario, docs);
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"name\":\"" << scenario->name
-        << "\",\"value\":" << profile.stats.makespan_s
-        << ",\"unit\":\"virtual_s\",\"extra\":{"
-        << "\"attempts\":" << profile.stats.attempts
-        << ",\"speculative_attempts\":" << profile.stats.speculative_attempts
-        << ",\"requeues\":" << profile.stats.requeues
-        << ",\"dead_workers\":" << profile.stats.dead_workers
-        << ",\"completion_s\":" << profile.stats.completion_s << "}}";
+    const cluster::ClusterStats stats = run_scenario(*scenario, docs).stats;
+    scenarios.push(bench::Json::object(
+        {{"name", scenario->name},
+         {"makespan_s", stats.makespan_s},
+         {"completion_s", stats.completion_s},
+         {"attempts", stats.attempts},
+         {"speculative_attempts", stats.speculative_attempts},
+         {"requeues", stats.requeues},
+         {"dead_workers", stats.dead_workers}}));
   }
-  out << "]}\n";
-  std::cout << "wrote " << path << "\n";
+  // Flags belong to google-benchmark here; there is no --smoke shape.
+  bench::Json doc = bench::document("ubench_mapreduce", false);
+  doc.set("scenarios", std::move(scenarios));
+  bench::write_json(path, doc);
 }
 
 }  // namespace

@@ -28,21 +28,18 @@
 // bench-smoke ctest) keeps every structural/counter check and drops the
 // speedup ratios.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <limits>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "mp/sim_world.hpp"
 #include "mp/world.hpp"
 
 namespace {
 
+namespace bench = pblpar::bench;
 using pblpar::mp::Buffer;
 using pblpar::mp::Codec;
 using pblpar::mp::Comm;
@@ -52,12 +49,6 @@ using pblpar::mp::SimComm;
 using pblpar::mp::SimWorld;
 using pblpar::mp::World;
 using pblpar::mp::WorldOptions;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 WorldOptions bench_options() {
   WorldOptions options;
@@ -122,26 +113,26 @@ std::vector<T> naive_allgather(Comm& comm, const T& value) {
   return collected;
 }
 
-/// Best-of-`reps` wall time of `op`, measured on rank 0 with barriers
-/// fencing every repetition so all ranks enter and leave together.
+/// Per-repetition wall time of `op` (rank 0's samples are reported),
+/// with barriers fencing every repetition so all ranks enter and leave
+/// together.
 template <class Op>
-double timed_collective(Comm& comm, int reps, Op&& op) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
+bench::Samples timed_collective(Comm& comm, int reps, Op&& op) {
+  return bench::trials(reps, [&] {
     comm.barrier();
-    const double start = now_s();
-    op();
-    comm.barrier();
-    best = std::min(best, now_s() - start);
-  }
-  return best;
+    return bench::elapsed_s([&] {
+      op();
+      comm.barrier();
+    });
+  });
 }
 
+/// naive vs new, each the best of its repetitions.
 struct SpeedupRow {
   int ranks = 0;
   std::int64_t payload_bytes = 0;
-  double naive_seconds = 0.0;
-  double new_seconds = 0.0;
+  bench::Samples naive;
+  bench::Samples fresh;
   double speedup = 0.0;
   bool correct = false;
   bool pass = false;
@@ -154,8 +145,6 @@ SpeedupRow run_bcast_phase(int ranks, std::size_t doubles, int reps,
   row.payload_bytes =
       static_cast<std::int64_t>(doubles * sizeof(double));
   bool correct = true;
-  double naive = 0.0;
-  double fresh = 0.0;
   World::run(
       ranks,
       [&](Comm& comm) {
@@ -172,36 +161,32 @@ SpeedupRow run_bcast_phase(int ranks, std::size_t doubles, int reps,
               std::vector<double>(seed));
         }
 
-        const double naive_best =
-            timed_collective(comm, reps, [&] {
-              std::vector<double> data;
-              if (comm.rank() == 0) {
-                data = seed;
-              }
-              naive_bcast(comm, data, 0);
-              if (data.size() != doubles || data[1] != seed[1]) {
-                correct = false;
-              }
-            });
-        const double new_best =
-            timed_collective(comm, reps, [&] {
-              Buffer data = comm.rank() == 0 ? blob : Buffer{};
-              comm.bcast_raw(data, 0);
-              const std::span<const double> view =
-                  Codec<std::vector<double>>::view(data);
-              if (view.size() != doubles || view[1] != seed[1]) {
-                correct = false;
-              }
-            });
+        bench::Samples naive = timed_collective(comm, reps, [&] {
+          std::vector<double> data;
+          if (comm.rank() == 0) {
+            data = seed;
+          }
+          naive_bcast(comm, data, 0);
+          if (data.size() != doubles || data[1] != seed[1]) {
+            correct = false;
+          }
+        });
+        bench::Samples fresh = timed_collective(comm, reps, [&] {
+          Buffer data = comm.rank() == 0 ? blob : Buffer{};
+          comm.bcast_raw(data, 0);
+          const std::span<const double> view =
+              Codec<std::vector<double>>::view(data);
+          if (view.size() != doubles || view[1] != seed[1]) {
+            correct = false;
+          }
+        });
         if (comm.rank() == 0) {
-          naive = naive_best;
-          fresh = new_best;
+          row.naive = std::move(naive);
+          row.fresh = std::move(fresh);
         }
       },
       bench_options());
-  row.naive_seconds = naive;
-  row.new_seconds = fresh;
-  row.speedup = naive / fresh;
+  row.speedup = row.naive.min() / row.fresh.min();
   row.correct = correct;
   row.pass = correct && row.speedup >= bar;
   return row;
@@ -214,8 +199,6 @@ SpeedupRow run_allgather_phase(int ranks, std::size_t doubles_per_rank,
   row.payload_bytes =
       static_cast<std::int64_t>(doubles_per_rank * sizeof(double));
   bool correct = true;
-  double naive = 0.0;
-  double fresh = 0.0;
   World::run(
       ranks,
       [&](Comm& comm) {
@@ -237,13 +220,13 @@ SpeedupRow run_allgather_phase(int ranks, std::size_t doubles_per_rank,
           }
         };
 
-        const double naive_best = timed_collective(
+        bench::Samples naive = timed_collective(
             comm, reps, [&] { check(naive_allgather(comm, mine)); });
         // The new consumer moves its vector in and reads every rank's
         // elements through views of the one packed broadcast frame. The
         // scratch copy keeps `mine` reusable across reps and is charged
         // to the new path's time.
-        const double new_best = timed_collective(comm, reps, [&] {
+        bench::Samples fresh = timed_collective(comm, reps, [&] {
           std::vector<double> scratch = mine;
           const std::vector<PayloadView<double>> views =
               comm.allgather_view(std::move(scratch));
@@ -261,14 +244,12 @@ SpeedupRow run_allgather_phase(int ranks, std::size_t doubles_per_rank,
           }
         });
         if (comm.rank() == 0) {
-          naive = naive_best;
-          fresh = new_best;
+          row.naive = std::move(naive);
+          row.fresh = std::move(fresh);
         }
       },
       bench_options());
-  row.naive_seconds = naive;
-  row.new_seconds = fresh;
-  row.speedup = naive / fresh;
+  row.speedup = row.naive.min() / row.fresh.min();
   row.correct = correct;
   row.pass = correct && row.speedup >= bar;
   return row;
@@ -407,15 +388,22 @@ MessageCountResult run_message_count(int ranks) {
   return result;
 }
 
+/// A speedup row: naive vs new, each the min over its repetitions.
+bench::Json speedup_json(const SpeedupRow& row) {
+  bench::Json json = bench::Json::object(
+      {{"ranks", row.ranks}, {"payload_bytes", row.payload_bytes}});
+  bench::put_timing(json, "naive_", row.naive.min(), row.naive);
+  bench::put_timing(json, "new_", row.fresh.min(), row.fresh);
+  return json.set("speedup", row.speedup)
+      .set("correct", row.correct)
+      .set("pass", row.pass);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::Json doc = bench::document("ubench_mp", smoke);
 
   const int ranks = 8;
   const double bar =
@@ -428,102 +416,52 @@ int main(int argc, char** argv) {
 
   const SpeedupRow bcast =
       run_bcast_phase(ranks, bcast_doubles, reps, bar);
-  std::printf(
-      "bcast: %d ranks, %lld KiB payload -> naive %.4fs new %.4fs "
-      "(%.2fx) correct=%s pass=%s\n",
-      bcast.ranks, static_cast<long long>(bcast.payload_bytes >> 10),
-      bcast.naive_seconds, bcast.new_seconds, bcast.speedup,
-      bcast.correct ? "yes" : "no", bcast.pass ? "yes" : "no");
+  doc.set("bcast", bench::show("bcast", speedup_json(bcast)));
 
   const SpeedupRow gather =
       run_allgather_phase(ranks, gather_doubles, reps, bar);
-  std::printf(
-      "allgather: %d ranks, %lld KiB/rank -> naive %.4fs new %.4fs "
-      "(%.2fx) correct=%s pass=%s\n",
-      gather.ranks, static_cast<long long>(gather.payload_bytes >> 10),
-      gather.naive_seconds, gather.new_seconds, gather.speedup,
-      gather.correct ? "yes" : "no", gather.pass ? "yes" : "no");
+  doc.set("allgather", bench::show("allgather", speedup_json(gather)));
 
+  // Bars: <= 1.01 whole-payload copies per rank for the bcast, and at
+  // most the one 4-byte ack frame for the move-send -> view round trip.
   const CopyDisciplineResult copies = run_copy_discipline(
       4, smoke ? (std::size_t{1} << 19) : (std::size_t{1} << 21));
-  std::printf(
-      "copy-discipline: bcast %.3f copies/rank (bar 1.01), "
-      "move-send->view %llu copies (bar 1) pass=%s\n",
-      copies.bcast_copies_per_rank,
-      static_cast<unsigned long long>(copies.zero_copy_copies),
-      copies.pass ? "yes" : "no");
+  doc.set("copy_discipline",
+          bench::show("copy_discipline",
+                      bench::Json::object(
+                          {{"ranks", copies.ranks},
+                           {"payload_bytes", copies.payload_bytes},
+                           {"bcast_copies_per_rank",
+                            copies.bcast_copies_per_rank},
+                           {"zero_copy_copies", copies.zero_copy_copies},
+                           {"pass", copies.pass}})));
 
+  // A count that does not divide by the world size.
   const RingResult ring = run_ring_phase(ranks, 100'003);
-  std::printf("ring-allreduce: %lld int64s on %d ranks (indivisible) "
-              "exact=%s pass=%s\n",
-              static_cast<long long>(ring.elements), ring.ranks,
-              ring.exact ? "yes" : "no", ring.pass ? "yes" : "no");
+  doc.set("ring_allreduce",
+          bench::show("ring_allreduce",
+                      bench::Json::object({{"ranks", ring.ranks},
+                                           {"elements", ring.elements},
+                                           {"exact", ring.exact},
+                                           {"pass", ring.pass}})));
 
+  // Expected: 2(n-1) messages on n Sim ranks.
   const MessageCountResult messages = run_message_count(ranks);
-  std::printf(
-      "allgather-messages: %llu on %d sim ranks (expected %llu = 2(n-1)) "
-      "pass=%s\n",
-      static_cast<unsigned long long>(messages.messages), messages.ranks,
-      static_cast<unsigned long long>(messages.expected),
-      messages.pass ? "yes" : "no");
+  doc.set("allgather_messages",
+          bench::show("allgather_messages",
+                      bench::Json::object({{"ranks", messages.ranks},
+                                           {"messages", messages.messages},
+                                           {"expected", messages.expected},
+                                           {"pass", messages.pass}})));
 
-  const bool pass = bcast.pass && gather.pass && copies.pass &&
-                    ring.pass && messages.pass;
-  std::printf(
-      "checks: bcast>=2x=%s allgather>=2x=%s copies<=1/hop=%s "
-      "ring_exact=%s messages_linear=%s\n",
-      bcast.pass ? "yes" : "no", gather.pass ? "yes" : "no",
-      copies.pass ? "yes" : "no", ring.pass ? "yes" : "no",
-      messages.pass ? "yes" : "no");
-
-  std::string json = "{\n  \"bench\": \"ubench_mp\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  char buffer[512];
-  const auto speedup_json = [&](const char* name, const SpeedupRow& row) {
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "  \"%s\": {\"ranks\":%d,\"payload_bytes\":%lld,"
-        "\"naive_seconds\":%.6f,\"new_seconds\":%.6f,\"speedup\":%.4f,"
-        "\"correct\":%s,\"pass\":%s},\n",
-        name, row.ranks, static_cast<long long>(row.payload_bytes),
-        row.naive_seconds, row.new_seconds, row.speedup,
-        row.correct ? "true" : "false", row.pass ? "true" : "false");
-    json += buffer;
-  };
-  speedup_json("bcast", bcast);
-  speedup_json("allgather", gather);
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"copy_discipline\": {\"ranks\":%d,\"payload_bytes\":%lld,"
-      "\"bcast_copies_per_rank\":%.4f,\"zero_copy_copies\":%llu,"
-      "\"pass\":%s},\n",
-      copies.ranks, static_cast<long long>(copies.payload_bytes),
-      copies.bcast_copies_per_rank,
-      static_cast<unsigned long long>(copies.zero_copy_copies),
-      copies.pass ? "true" : "false");
-  json += buffer;
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"ring_allreduce\": {\"ranks\":%d,\"elements\":%lld,"
-      "\"exact\":%s,\"pass\":%s},\n",
-      ring.ranks, static_cast<long long>(ring.elements),
-      ring.exact ? "true" : "false", ring.pass ? "true" : "false");
-  json += buffer;
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "  \"allgather_messages\": {\"ranks\":%d,\"messages\":%llu,"
-      "\"expected\":%llu,\"pass\":%s},\n",
-      messages.ranks, static_cast<unsigned long long>(messages.messages),
-      static_cast<unsigned long long>(messages.expected),
-      messages.pass ? "true" : "false");
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer), "  \"pass\": %s\n}\n",
-                pass ? "true" : "false");
-  json += buffer;
-
-  std::ofstream out("BENCH_mp.json");
-  out << json;
-  out.close();
-  std::printf("wrote BENCH_mp.json\n");
-  return pass ? 0 : 1;
+  bench::Checks checks;
+  checks.add("bcast>=2x", bcast.pass);
+  checks.add("allgather>=2x", gather.pass);
+  checks.add("copies<=1/hop", copies.pass);
+  checks.add("ring_exact", ring.pass);
+  checks.add("messages_linear", messages.pass);
+  checks.print();
+  doc.set("pass", checks.all());
+  bench::write_json("BENCH_mp.json", doc);
+  return checks.all() ? 0 : 1;
 }

@@ -25,14 +25,16 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "harness.hpp"
 #include "mp/comm.hpp"
 #include "mp/mailbox.hpp"
 #include "rt/cancel.hpp"
@@ -43,12 +45,7 @@
 namespace {
 
 using namespace pblpar;
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+using bench::Samples;
 
 /// Busy work proportional to `units`; volatile so the optimizer keeps it.
 void spin(std::int64_t units) {
@@ -58,79 +55,56 @@ void spin(std::int64_t units) {
   }
 }
 
-struct LoopRow {
-  std::string backend;   // "host" | "sim"
-  std::string profile;   // "uniform" | "skewed"
-  int threads = 0;
-  std::string schedule;
-  double seconds = 0.0;
-};
-
 /// Host run of `total` iterations where [heavy_from, total) spin
-/// `heavy_units` and the rest `base_units`; min over `repeats`. The warm
-/// pool is part of what is measured: regions launch on parked workers,
-/// exactly like the second and later regions of any real program.
-double time_host_loop(int threads, rt::Schedule schedule, std::int64_t total,
-                      std::int64_t heavy_from, std::int64_t base_units,
-                      std::int64_t heavy_units, int repeats) {
+/// `heavy_units` and the rest `base_units`; one sample per repeat (the
+/// row reports the min). The warm pool is part of what is measured:
+/// regions launch on parked workers, exactly like the second and later
+/// regions of any real program.
+Samples time_host_loop(int threads, rt::Schedule schedule, std::int64_t total,
+                       std::int64_t heavy_from, std::int64_t base_units,
+                       std::int64_t heavy_units, int repeats) {
   rt::warm_up(rt::ParallelConfig::host(threads));
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
+  return bench::trials(repeats, [&] {
     rt::parallel(rt::ParallelConfig::host(threads), [&](rt::TeamContext& tc) {
       rt::for_each(tc, rt::Range::upto(total), schedule,
                    [&](std::int64_t i) {
                      spin(i >= heavy_from ? heavy_units : base_units);
                    });
     });
-    best = std::min(best, seconds_since(start));
-  }
-  return best;
+  });
 }
 
-/// Median latency of an empty parallel region — the pure launch + join
-/// cost — on the persistent pool or the per-region spawn path. One
-/// untimed region first so the pool's workers exist (or the allocator
-/// and thread stacks are warm on the spawn path). Each region is timed
-/// individually and the median taken: on a loaded machine a few samples
-/// absorb a preemption mid-handoff, and those tails say nothing about
-/// what a region launch costs.
-double time_region_launch(int threads, bool pooled, int repeats) {
+/// A host team on the persistent pool or the per-region spawn path,
+/// after one untimed region so the pool's workers exist (or the
+/// allocator and thread stacks are warm on the spawn path).
+rt::ParallelConfig warm_config(int threads, bool pooled) {
   rt::ParallelConfig config = rt::ParallelConfig::host(threads);
   if (!pooled) {
     config = config.unpooled();
   }
   rt::parallel(config, [](rt::TeamContext&) {});
-  std::vector<double> samples(static_cast<std::size_t>(repeats), 0.0);
-  for (double& sample : samples) {
-    const auto start = std::chrono::steady_clock::now();
-    rt::parallel(config, [](rt::TeamContext&) {});
-    sample = seconds_since(start);
-  }
-  const auto mid = samples.begin() + samples.size() / 2;
-  std::nth_element(samples.begin(), mid, samples.end());
-  return *mid;
+  return config;
 }
 
-struct LaunchRow {
-  int threads = 0;
-  double spawn_seconds = 0.0;
-  double pool_seconds = 0.0;
-};
+/// Latency of an empty parallel region — the pure launch + join cost.
+/// Each region is timed individually and the row reports the median: on
+/// a loaded machine a few samples absorb a preemption mid-handoff, and
+/// those tails say nothing about what a region launch costs.
+Samples time_region_launch(int threads, bool pooled, int repeats) {
+  const rt::ParallelConfig config = warm_config(threads, pooled);
+  return bench::trials(repeats,
+                       [&] { rt::parallel(config, [](rt::TeamContext&) {}); });
+}
 
-/// Median latency from an external cancel() to rt::Cancelled surfacing
-/// out of the region — the cooperative drain cost the runtime promises.
+/// Latency from an external cancel() to rt::Cancelled surfacing out of
+/// the region — the cooperative drain cost the runtime promises.
 /// A helper thread waits until the loop has demonstrably started, stamps
 /// the clock, and cancels; the region runs dynamic,1 over a range far too
 /// large to finish, so every sample measures the drain, not completion.
-double time_cancel_drain(int threads, bool pooled, int repeats) {
-  rt::ParallelConfig base = rt::ParallelConfig::host(threads);
-  if (!pooled) {
-    base = base.unpooled();
-  }
-  rt::parallel(base, [](rt::TeamContext&) {});
-  std::vector<double> samples(static_cast<std::size_t>(repeats), 0.0);
-  for (double& sample : samples) {
+Samples time_cancel_drain(int threads, bool pooled, int repeats) {
+  const rt::ParallelConfig base = warm_config(threads, pooled);
+  return bench::trials(repeats, [&] {
+    double sample = 0.0;
     rt::CancelSource source;
     std::atomic<bool> started{false};
     std::atomic<std::int64_t> cancelled_at_ns{0};
@@ -161,17 +135,9 @@ double time_cancel_drain(int threads, bool pooled, int repeats) {
                1e-9;
     }
     canceller.join();
-  }
-  const auto mid = samples.begin() + samples.size() / 2;
-  std::nth_element(samples.begin(), mid, samples.end());
-  return *mid;
+    return sample;
+  });
 }
-
-struct CancelRow {
-  int threads = 0;
-  double spawn_seconds = 0.0;
-  double pool_seconds = 0.0;
-};
 
 /// Deterministic Sim run of the same shape: the body is free, the cost
 /// model charges the per-iteration ops, and the backend charges its own
@@ -191,16 +157,14 @@ double sim_loop_makespan(int threads, rt::Schedule schedule,
 
 /// Trivial-body loop through either the templated for_each (body inlined)
 /// or the std::function for_loop (one indirect call per iteration).
-double time_trivial_loop(bool devirtualized, std::int64_t total,
-                         int repeats) {
+Samples time_trivial_loop(bool devirtualized, std::int64_t total,
+                          int repeats) {
   std::vector<double> data(static_cast<std::size_t>(total), 0.0);
   const auto body = [&data](std::int64_t i) {
     data[static_cast<std::size_t>(i)] =
         0.5 * static_cast<double>(i) + 1.0;
   };
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
+  const Samples samples = bench::trials(repeats, [&] {
     rt::parallel(rt::ParallelConfig::host(1), [&](rt::TeamContext& tc) {
       if (devirtualized) {
         rt::for_each(tc, rt::Range::upto(total), rt::Schedule::static_block(),
@@ -210,11 +174,10 @@ double time_trivial_loop(bool devirtualized, std::int64_t total,
                      body);
       }
     });
-    best = std::min(best, seconds_since(start));
-  }
+  });
   volatile double keep = data[static_cast<std::size_t>(total / 2)];
   (void)keep;
-  return best;
+  return samples;
 }
 
 // --- Lock-free core baselines -----------------------------------------
@@ -256,14 +219,14 @@ class LockedSpanDeque {
 /// Drain `chunks` chunk indices split across `threads` deques: each
 /// worker empties its own deque, then sweeps the victims round-robin —
 /// the host backend's steal loop, minus the loop body. Both deque types
-/// share the install/take/steal interface, so the harness is templated
-/// and measures only the claim protocol. Min over repeats; exactly-once
-/// delivery is verified on every repeat (a lost or duplicated chunk is a
-/// broken deque, not a slow one — abort loudly).
+/// share the install/take/steal interface, so the drain is templated
+/// and measures only the claim protocol. One sample per repeat (the
+/// check reads the min); exactly-once delivery is verified on every
+/// repeat (a lost or duplicated chunk is a broken deque, not a slow one
+/// — abort loudly).
 template <class Deque>
-double time_steal_drain(int threads, std::int64_t chunks, int repeats) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
+Samples time_steal_drain(int threads, std::int64_t chunks, int repeats) {
+  return bench::trials(repeats, [&] {
     std::vector<std::unique_ptr<Deque>> deques;
     for (int t = 0; t < threads; ++t) {
       deques.push_back(std::make_unique<Deque>());
@@ -322,9 +285,6 @@ double time_steal_drain(int threads, std::int64_t chunks, int repeats) {
     for (std::thread& worker : workers) {
       worker.join();
     }
-    best = std::min(best, static_cast<double>(last_end_ns.load() -
-                                              first_start_ns.load()) *
-                              1e-9);
     if (claimed.load(std::memory_order_relaxed) != chunks) {
       std::fprintf(stderr,
                    "steal drain lost chunks: claimed %lld of %lld\n",
@@ -332,8 +292,9 @@ double time_steal_drain(int threads, std::int64_t chunks, int repeats) {
                    static_cast<long long>(chunks));
       std::exit(1);
     }
-  }
-  return best;
+    return static_cast<double>(last_end_ns.load() - first_start_ns.load()) *
+           1e-9;
+  });
 }
 
 /// The mutex+condvar mailbox the lock-free MPSC queue replaced, reduced
@@ -379,11 +340,12 @@ mp::RawMessage ping_message() {
 }
 
 /// Per-round-trip latency of a two-mailbox ping-pong through the locked
-/// baseline: min over `repeats` blocks of `round_trips` exchanges (the
-/// same min-over-repeats the loop rows use — a context-switch storm in
-/// one block should not masquerade as mailbox cost). One untimed warm-up
-/// exchange parks/wakes both sides before any clock starts.
-double time_mailbox_rtt_locked(int round_trips, int repeats) {
+/// baseline: one sample per block of `round_trips` exchanges, and the
+/// check reads the min (the same min-over-repeats the loop rows use — a
+/// context-switch storm in one block should not masquerade as mailbox
+/// cost). One untimed warm-up exchange parks/wakes both sides before any
+/// clock starts.
+Samples time_mailbox_rtt_locked(int round_trips, int repeats) {
   LockedMailbox to_echo;
   LockedMailbox to_origin;
   std::thread echo([&] {
@@ -396,23 +358,23 @@ double time_mailbox_rtt_locked(int round_trips, int repeats) {
   mp::RawMessage back;
   to_echo.push(ping_message());
   to_origin.pop(&back, 60.0);  // warm-up exchange
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < round_trips; ++i) {
-      to_echo.push(ping_message());
-      to_origin.pop(&back, 60.0);
-    }
-    best = std::min(best, seconds_since(start));
-  }
+  const Samples samples = bench::trials(repeats, [&] {
+    return bench::elapsed_s([&] {
+             for (int i = 0; i < round_trips; ++i) {
+               to_echo.push(ping_message());
+               to_origin.pop(&back, 60.0);
+             }
+           }) /
+           round_trips;
+  });
   echo.join();
-  return best / round_trips;
+  return samples;
 }
 
 /// Same ping-pong through the real lock-free mp::Mailbox. Each box has
 /// exactly one consumer (echo drains to_echo, main drains to_origin), so
 /// the MPSC single-consumer invariant holds.
-double time_mailbox_rtt_lockfree(int round_trips, int repeats) {
+Samples time_mailbox_rtt_lockfree(int round_trips, int repeats) {
   mp::AbortState abort;
   mp::Mailbox to_echo(abort, 60.0, 1);
   mp::Mailbox to_origin(abort, 60.0, 0);
@@ -427,38 +389,34 @@ double time_mailbox_rtt_lockfree(int round_trips, int repeats) {
   mp::RawMessage back;
   to_echo.push(ping_message());
   to_origin.pop_matching_timed(mp::kAnySource, mp::kAnyTag, 60.0, &back);
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < round_trips; ++i) {
-      to_echo.push(ping_message());
-      to_origin.pop_matching_timed(mp::kAnySource, mp::kAnyTag, 60.0, &back);
-    }
-    best = std::min(best, seconds_since(start));
-  }
+  const Samples samples = bench::trials(repeats, [&] {
+    return bench::elapsed_s([&] {
+             for (int i = 0; i < round_trips; ++i) {
+               to_echo.push(ping_message());
+               to_origin.pop_matching_timed(mp::kAnySource, mp::kAnyTag,
+                                            60.0, &back);
+             }
+           }) /
+           round_trips;
+  });
   echo.join();
-  return best / round_trips;
+  return samples;
 }
 
-void append_json_row(std::string& out, const LoopRow& row, bool first) {
-  char buffer[256];
-  std::snprintf(buffer, sizeof(buffer),
-                "%s\n    {\"backend\":\"%s\",\"profile\":\"%s\","
-                "\"threads\":%d,\"schedule\":\"%s\",\"seconds\":%.9f}",
-                first ? "" : ",", row.backend.c_str(), row.profile.c_str(),
-                row.threads, row.schedule.c_str(), row.seconds);
-  out += buffer;
+/// A launch or cancel row: spawn vs pool at one team width, as medians.
+bench::Json spawn_pool_json(int threads, const Samples& spawn,
+                            const Samples& pool) {
+  bench::Json json = bench::Json::object({{"threads", threads}});
+  bench::put_timing(json, "spawn_", spawn.median(), spawn);
+  bench::put_timing(json, "pool_", pool.median(), pool);
+  return json;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::Json doc = bench::document("ubench_schedulers", smoke);
 
   // Shape: `total` iterations of a small spin; the skewed profile makes
   // the last eighth `kHeavyFactor` times heavier — the tail a static
@@ -476,23 +434,35 @@ int main(int argc, char** argv) {
       rt::Schedule::dynamic(16), rt::Schedule::guided(1),
       rt::Schedule::steal()};
 
-  std::vector<LoopRow> rows;
-  std::printf("==== scheduler shoot-out: %lld iterations, heavy tail x%lld "
-              "====\n",
-              static_cast<long long>(total),
-              static_cast<long long>(kHeavyFactor));
+  // Each loop row's seconds (host: min over repeats; sim: virtual time),
+  // keyed by (backend, profile, threads, schedule) for the checks.
+  std::map<std::tuple<std::string, std::string, int, std::string>, double>
+      loop_seconds;
+  bench::Json loops = bench::Json::array();
+  const auto add_loop = [&](const char* backend, const char* profile,
+                            int threads, const rt::Schedule& schedule,
+                            double seconds, const Samples* samples) {
+    loop_seconds[{backend, profile, threads, schedule.to_string()}] = seconds;
+    bench::Json row = bench::Json::object({{"backend", backend},
+                                           {"profile", profile},
+                                           {"threads", threads},
+                                           {"schedule", schedule.to_string()}});
+    if (samples != nullptr) {
+      bench::put_timing(row, "", seconds, *samples);
+    } else {
+      row.set("seconds", seconds);
+    }
+    loops.push(bench::show("loop", std::move(row)));
+  };
   for (const char* profile : {"uniform", "skewed"}) {
     const bool skewed = std::strcmp(profile, "skewed") == 0;
     const std::int64_t heavy_from = skewed ? total - total / 8 : total;
     for (const int threads : thread_counts) {
       for (const rt::Schedule& schedule : schedules) {
-        const double seconds =
+        const Samples samples =
             time_host_loop(threads, schedule, total, heavy_from, base_units,
                            base_units * kHeavyFactor, repeats);
-        rows.push_back(LoopRow{"host", profile, threads,
-                               schedule.to_string(), seconds});
-        std::printf("host %-8s t=%d %-10s %9.3f ms\n", profile, threads,
-                    schedule.to_string().c_str(), seconds * 1e3);
+        add_loop("host", profile, threads, schedule, samples.min(), &samples);
       }
     }
   }
@@ -504,34 +474,39 @@ int main(int argc, char** argv) {
   const std::int64_t sim_heavy_from = sim_total - sim_total / 8;
   for (const int threads : thread_counts) {
     for (const rt::Schedule& schedule : schedules) {
-      const double seconds =
-          sim_loop_makespan(threads, schedule, sim_total, sim_heavy_from,
-                            2e3, 2e3 * kHeavyFactor);
-      rows.push_back(LoopRow{"sim", "skewed", threads, schedule.to_string(),
-                             seconds});
-      std::printf("sim  %-8s t=%d %-10s %9.3f ms (virtual)\n", "skewed",
-                  threads, schedule.to_string().c_str(), seconds * 1e3);
+      add_loop("sim", "skewed", threads, schedule,
+               sim_loop_makespan(threads, schedule, sim_total, sim_heavy_from,
+                                 2e3, 2e3 * kHeavyFactor),
+               nullptr);
     }
   }
+  doc.set("loops", std::move(loops));
+
+  // The pool and cancel checks read the Pi-class team width.
+  const int pool_check_threads =
+      std::find(thread_counts.begin(), thread_counts.end(), 4) !=
+              thread_counts.end()
+          ? 4
+          : thread_counts.back();
 
   // Region-launch latency: what one empty parallel() costs on the
   // persistent pool (parked workers, generation handoff) vs the spawn
   // path (fresh threads per region) — the number that decides whether a
   // thread-count sweep measures the loop or the fork.
   const int launch_repeats = smoke ? 50 : 500;
-  std::vector<LaunchRow> launch_rows;
+  bench::Json launch = bench::Json::array();
+  double spawn_launch_s = 0.0;
+  double pool_launch_s = 0.0;
   for (const int threads : thread_counts) {
-    LaunchRow row;
-    row.threads = threads;
-    row.spawn_seconds = time_region_launch(threads, false, launch_repeats);
-    row.pool_seconds = time_region_launch(threads, true, launch_repeats);
-    launch_rows.push_back(row);
-    std::printf("launch t=%d spawn %8.2f us, pool %8.2f us (%.1fx)\n",
-                threads, row.spawn_seconds * 1e6, row.pool_seconds * 1e6,
-                row.pool_seconds > 0.0
-                    ? row.spawn_seconds / row.pool_seconds
-                    : 0.0);
+    const Samples spawn = time_region_launch(threads, false, launch_repeats);
+    const Samples pool = time_region_launch(threads, true, launch_repeats);
+    launch.push(bench::show("launch", spawn_pool_json(threads, spawn, pool)));
+    if (threads == pool_check_threads) {
+      spawn_launch_s = spawn.median();
+      pool_launch_s = pool.median();
+    }
   }
+  doc.set("launch", std::move(launch));
 
   // Cancellation-drain latency: how long after an external cancel() the
   // region actually returns control (as rt::Cancelled), pool vs spawn.
@@ -539,28 +514,29 @@ int main(int argc, char** argv) {
   // the abortable-barrier drain — it must stay in launch-latency
   // territory, not loop-runtime territory.
   const int cancel_repeats = smoke ? 10 : 100;
-  std::vector<CancelRow> cancel_rows;
+  bench::Json cancel = bench::Json::array();
+  double pool_cancel_s = 0.0;
   for (const int threads : thread_counts) {
-    CancelRow row;
-    row.threads = threads;
-    row.spawn_seconds = time_cancel_drain(threads, false, cancel_repeats);
-    row.pool_seconds = time_cancel_drain(threads, true, cancel_repeats);
-    cancel_rows.push_back(row);
-    std::printf("cancel t=%d spawn %8.2f us, pool %8.2f us\n", threads,
-                row.spawn_seconds * 1e6, row.pool_seconds * 1e6);
+    const Samples spawn = time_cancel_drain(threads, false, cancel_repeats);
+    const Samples pool = time_cancel_drain(threads, true, cancel_repeats);
+    cancel.push(bench::show("cancel", spawn_pool_json(threads, spawn, pool)));
+    if (threads == pool_check_threads) {
+      pool_cancel_s = pool.median();
+    }
   }
+  doc.set("cancel", std::move(cancel));
 
   // Devirtualization: identical trivial body through both drivers.
   const std::int64_t devirt_total = smoke ? (1 << 16) : (1 << 21);
   const int devirt_repeats = smoke ? 2 : 7;
-  const double wrapper_s =
-      time_trivial_loop(false, devirt_total, devirt_repeats);
-  const double inlined_s =
-      time_trivial_loop(true, devirt_total, devirt_repeats);
-  std::printf("devirt: for_loop %.3f ms, for_each %.3f ms over %lld trivial "
-              "iterations\n",
-              wrapper_s * 1e3, inlined_s * 1e3,
-              static_cast<long long>(devirt_total));
+  const Samples wrapper = time_trivial_loop(false, devirt_total,
+                                            devirt_repeats);
+  const Samples inlined = time_trivial_loop(true, devirt_total,
+                                            devirt_repeats);
+  bench::Json devirt = bench::Json::object({{"iterations", devirt_total}});
+  bench::put_timing(devirt, "for_loop_", wrapper.min(), wrapper);
+  bench::put_timing(devirt, "for_each_", inlined.min(), inlined);
+  doc.set("devirt", bench::show("devirt", std::move(devirt)));
 
   // Lock-free core: the Chase–Lev steal drain at t=8 against the
   // mutex-protected deque it replaced, and the lock-free mailbox round
@@ -572,77 +548,56 @@ int main(int argc, char** argv) {
   const int steal_repeats = smoke ? 4 : 9;
   const int round_trips = smoke ? 256 : 4096;
   const int rtt_repeats = smoke ? 3 : 9;
-  // Up to three measurement attempts, keeping the min per implementation
-  // (the same min-over-repeats policy every row uses): under a parallel
-  // ctest run, one side of a comparison can get starved for a whole
-  // attempt, and a guard verdict from a single attempt would flake. A
-  // genuine convoy regression reproduces on every attempt.
-  double chaselev_s = 1e300;
-  double locked_deque_s = 1e300;
-  double lockfree_rtt_s = 1e300;
-  double locked_rtt_s = 1e300;
+  // Up to three measurement attempts, pooling every attempt's trials so
+  // the min per implementation is the min over all of them (the same
+  // min-over-repeats policy every row uses): under a parallel ctest run,
+  // one side of a comparison can get starved for a whole attempt, and a
+  // guard verdict from a single attempt would flake. A genuine convoy
+  // regression reproduces on every attempt.
+  Samples chaselev;
+  Samples locked_deque;
+  Samples lockfree_rtt;
+  Samples locked_rtt;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    chaselev_s = std::min(
-        chaselev_s, time_steal_drain<rt::ChaseLevSpan>(
-                        steal_threads, steal_chunks, steal_repeats));
-    locked_deque_s = std::min(
-        locked_deque_s, time_steal_drain<LockedSpanDeque>(
-                            steal_threads, steal_chunks, steal_repeats));
-    lockfree_rtt_s = std::min(
-        lockfree_rtt_s, time_mailbox_rtt_lockfree(round_trips, rtt_repeats));
-    locked_rtt_s = std::min(
-        locked_rtt_s, time_mailbox_rtt_locked(round_trips, rtt_repeats));
-    if (chaselev_s <= 2.0 * locked_deque_s &&
-        lockfree_rtt_s <= 2.0 * locked_rtt_s) {
+    chaselev.append(time_steal_drain<rt::ChaseLevSpan>(
+        steal_threads, steal_chunks, steal_repeats));
+    locked_deque.append(time_steal_drain<LockedSpanDeque>(
+        steal_threads, steal_chunks, steal_repeats));
+    lockfree_rtt.append(time_mailbox_rtt_lockfree(round_trips, rtt_repeats));
+    locked_rtt.append(time_mailbox_rtt_locked(round_trips, rtt_repeats));
+    if (chaselev.min() <= 2.0 * locked_deque.min() &&
+        lockfree_rtt.min() <= 2.0 * locked_rtt.min()) {
       break;
     }
   }
-  std::printf("steal-drain t=%d, %lld chunks: chaselev %8.3f ms, "
-              "mutex %8.3f ms (%.2fx)\n",
-              steal_threads, static_cast<long long>(steal_chunks),
-              chaselev_s * 1e3, locked_deque_s * 1e3,
-              chaselev_s > 0.0 ? locked_deque_s / chaselev_s : 0.0);
-  std::printf("mailbox rtt over %d round trips: lock-free %8.3f us, "
-              "locked %8.3f us (%.2fx)\n",
-              round_trips, lockfree_rtt_s * 1e6, locked_rtt_s * 1e6,
-              lockfree_rtt_s > 0.0 ? locked_rtt_s / lockfree_rtt_s : 0.0);
-
-  // The committed check booleans use a 1.25x margin: lock-free must sit
-  // at or below the locked baseline, give or take scheduler noise.
-  const bool chaselev_not_worse = chaselev_s <= 1.25 * locked_deque_s;
-  const bool mailbox_not_worse = lockfree_rtt_s <= 1.25 * locked_rtt_s;
+  bench::Json steal = bench::Json::object({{"chunks", steal_chunks}});
+  bench::put_timing(steal, "chaselev_", chaselev.min(), chaselev);
+  bench::put_timing(steal, "mutex_", locked_deque.min(), locked_deque);
+  bench::Json rtt = bench::Json::object({{"round_trips", round_trips}});
+  bench::put_timing(rtt, "lockfree_", lockfree_rtt.min(), lockfree_rtt);
+  bench::put_timing(rtt, "locked_", locked_rtt.min(), locked_rtt);
+  doc.set("lockfree", bench::Json::object(
+                          {{"steal_t8", bench::show("steal_t8", steal)},
+                           {"mailbox_rtt", bench::show("mailbox_rtt", rtt)}}));
 
   // Acceptance probes: does steal beat dynamic,1 on the skewed loop at
   // every measured thread count >= 4 (host real time and sim virtual
   // time), and does the inlined driver beat the type-erased one?
-  const auto loop_seconds = [&rows](const std::string& backend,
-                                    const std::string& profile, int threads,
-                                    const std::string& schedule) {
-    for (const LoopRow& row : rows) {
-      if (row.backend == backend && row.profile == profile &&
-          row.threads == threads && row.schedule == schedule) {
-        return row.seconds;
-      }
-    }
-    return -1.0;
-  };
   bool steal_wins_host = true;
   bool steal_wins_sim = true;
   for (const int threads : thread_counts) {
     if (threads < 4) {
       continue;
     }
-    steal_wins_host =
-        steal_wins_host && loop_seconds("host", "skewed", threads, "steal") <
-                               loop_seconds("host", "skewed", threads,
-                                            "dynamic,1");
-    steal_wins_sim =
-        steal_wins_sim && loop_seconds("sim", "skewed", threads, "steal") <
-                              loop_seconds("sim", "skewed", threads,
-                                           "dynamic,1");
+    steal_wins_host = steal_wins_host &&
+                      loop_seconds.at({"host", "skewed", threads, "steal"}) <
+                          loop_seconds.at({"host", "skewed", threads,
+                                           "dynamic,1"});
+    steal_wins_sim = steal_wins_sim &&
+                     loop_seconds.at({"sim", "skewed", threads, "steal"}) <
+                         loop_seconds.at({"sim", "skewed", threads,
+                                          "dynamic,1"});
   }
-  const bool devirt_wins = inlined_s < wrapper_s;
-
   // Pool checks: launching on parked workers must beat spawning by >= 5x
   // at 4 threads (the Pi-class team width); uniform host loops must not
   // degrade from 1 to 4 threads any more (launch off the critical path);
@@ -650,24 +605,10 @@ int main(int argc, char** argv) {
   // static on the uniform loop at 1 thread — the pure per-iteration
   // claim-overhead margin, measured without any multi-thread scheduling
   // noise.
-  const auto launch_of = [&launch_rows](int threads) {
-    for (const LaunchRow& row : launch_rows) {
-      if (row.threads == threads) {
-        return row;
-      }
-    }
-    return LaunchRow{};
-  };
-  const int pool_check_threads =
-      std::find(thread_counts.begin(), thread_counts.end(), 4) !=
-              thread_counts.end()
-          ? 4
-          : thread_counts.back();
-  const LaunchRow check_row = launch_of(pool_check_threads);
-  const bool pool_beats_spawn =
-      check_row.pool_seconds > 0.0 &&
-      check_row.spawn_seconds >= 5.0 * check_row.pool_seconds;
   const int t_lo = thread_counts.front();
+  const auto uniform = [&](int threads, const char* schedule) {
+    return loop_seconds.at({"host", "uniform", threads, schedule});
+  };
   // "More threads must not be slower" is only a property the hardware
   // can deliver when the box is at least as wide as the team; a 1-core
   // container serializes every member onto the same CPU and the check
@@ -675,140 +616,47 @@ int main(int argc, char** argv) {
   // machine width and pass it vacuously on narrow boxes.
   const bool static_check_applicable =
       rt::hardware_threads() >= pool_check_threads;
-  const bool static_no_degrade =
-      !static_check_applicable ||
-      loop_seconds("host", "uniform", pool_check_threads, "static") <=
-          loop_seconds("host", "uniform", t_lo, "static");
-  const bool dynamic1_close =
-      loop_seconds("host", "uniform", t_lo, "dynamic,1") <=
-      1.25 * loop_seconds("host", "uniform", t_lo, "static");
 
+  bench::Checks checks;
+  checks.add("steal_beats_dynamic1_skewed_host", steal_wins_host);
+  checks.add("steal_beats_dynamic1_skewed_sim", steal_wins_sim);
+  checks.add("for_each_beats_for_loop", inlined.min() < wrapper.min());
+  checks.add("pool_launch_beats_spawn",
+             pool_launch_s > 0.0 && spawn_launch_s >= 5.0 * pool_launch_s);
+  checks.add("static_uniform_no_degradation",
+             !static_check_applicable ||
+                 uniform(pool_check_threads, "static") <=
+                     uniform(t_lo, "static"));
+  checks.add("dynamic1_within_1p25x_static_uniform",
+             uniform(t_lo, "dynamic,1") <= 1.25 * uniform(t_lo, "static"));
   // Cancellation must drain in launch-latency territory: the pooled
   // cancel drain at the Pi-class team width stays within 100x of a
   // pooled empty-region launch (a deliberately loose multiple — the
   // drain includes one in-flight chunk and an OS-scheduler wakeup — but
   // tight enough to catch a drain that degenerates into running the
   // rest of the loop).
-  const auto cancel_of = [&cancel_rows](int threads) {
-    for (const CancelRow& row : cancel_rows) {
-      if (row.threads == threads) {
-        return row;
-      }
-    }
-    return CancelRow{};
-  };
-  const CancelRow cancel_check_row = cancel_of(pool_check_threads);
-  const bool cancel_drain_fast =
-      check_row.pool_seconds > 0.0 &&
-      cancel_check_row.pool_seconds <= 100.0 * check_row.pool_seconds;
-
-  std::printf("checks: steal<dynamic,1 skewed 4+t host=%s sim=%s, "
-              "for_each<for_loop=%s, pool>=5x spawn@t%d=%s, "
-              "static t%d<=t%d uniform=%s, dynamic,1<=1.25x static@t%d=%s, "
-              "cancel drain<=100x pool launch@t%d=%s\n",
-              steal_wins_host ? "yes" : "no", steal_wins_sim ? "yes" : "no",
-              devirt_wins ? "yes" : "no", pool_check_threads,
-              pool_beats_spawn ? "yes" : "no", pool_check_threads, t_lo,
-              static_no_degrade ? "yes" : "no", t_lo,
-              dynamic1_close ? "yes" : "no", pool_check_threads,
-              cancel_drain_fast ? "yes" : "no");
-  std::printf("checks: chaselev<=1.25x mutex steal@t%d=%s, "
-              "lock-free<=1.25x locked mailbox rtt=%s\n",
-              steal_threads, chaselev_not_worse ? "yes" : "no",
-              mailbox_not_worse ? "yes" : "no");
-
-  std::string json = "{\n  \"bench\": \"ubench_schedulers\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  json += "  \"loops\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    append_json_row(json, rows[i], i == 0);
-  }
-  json += "\n  ],\n  \"launch\": [";
-  char buffer[384];
-  for (std::size_t i = 0; i < launch_rows.size(); ++i) {
-    const LaunchRow& row = launch_rows[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s\n    {\"threads\":%d,\"spawn_seconds\":%.9f,"
-                  "\"pool_seconds\":%.9f}",
-                  i == 0 ? "" : ",", row.threads, row.spawn_seconds,
-                  row.pool_seconds);
-    json += buffer;
-  }
-  json += "\n  ],\n  \"cancel\": [";
-  for (std::size_t i = 0; i < cancel_rows.size(); ++i) {
-    const CancelRow& row = cancel_rows[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s\n    {\"threads\":%d,\"spawn_seconds\":%.9f,"
-                  "\"pool_seconds\":%.9f}",
-                  i == 0 ? "" : ",", row.threads, row.spawn_seconds,
-                  row.pool_seconds);
-    json += buffer;
-  }
-  json += "\n  ],\n  \"devirt\": {";
-  std::snprintf(buffer, sizeof(buffer),
-                "\"iterations\":%lld,\"for_loop_seconds\":%.9f,"
-                "\"for_each_seconds\":%.9f",
-                static_cast<long long>(devirt_total), wrapper_s, inlined_s);
-  json += buffer;
-  json += "},\n  \"lockfree\": {";
-  std::snprintf(buffer, sizeof(buffer),
-                "\n    \"steal_t8\":{\"chunks\":%lld,"
-                "\"chaselev_seconds\":%.9f,\"mutex_seconds\":%.9f},",
-                static_cast<long long>(steal_chunks), chaselev_s,
-                locked_deque_s);
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "\n    \"mailbox_rtt\":{\"round_trips\":%d,"
-                "\"lockfree_seconds\":%.9f,\"locked_seconds\":%.9f}\n  ",
-                round_trips, lockfree_rtt_s, locked_rtt_s);
-  json += buffer;
-  json += "},\n  \"checks\": {";
-  std::snprintf(buffer, sizeof(buffer),
-                "\"hardware_threads\":%d,"
-                "\"static_check_applicable\":%s,"
-                "\"steal_beats_dynamic1_skewed_host\":%s,",
-                rt::hardware_threads(),
-                static_check_applicable ? "true" : "false",
-                steal_wins_host ? "true" : "false");
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "\"steal_beats_dynamic1_skewed_sim\":%s,"
-                "\"for_each_beats_for_loop\":%s,"
-                "\"pool_launch_beats_spawn\":%s,"
-                "\"static_uniform_no_degradation\":%s,"
-                "\"dynamic1_within_1p25x_static_uniform\":%s,"
-                "\"cancel_drain_within_100x_pool_launch\":%s",
-                steal_wins_sim ? "true" : "false",
-                devirt_wins ? "true" : "false",
-                pool_beats_spawn ? "true" : "false",
-                static_no_degrade ? "true" : "false",
-                dynamic1_close ? "true" : "false",
-                cancel_drain_fast ? "true" : "false");
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                ",\"chaselev_steal_not_worse_than_mutex_t8\":%s,"
-                "\"mailbox_rtt_not_worse_than_locked\":%s",
-                chaselev_not_worse ? "true" : "false",
-                mailbox_not_worse ? "true" : "false");
-  json += buffer;
-  json += "}\n}\n";
-
-  std::ofstream out("BENCH_rt.json");
-  out << json;
-  std::printf("wrote BENCH_rt.json (%zu loop rows)\n", rows.size());
+  checks.add("cancel_drain_within_100x_pool_launch",
+             pool_launch_s > 0.0 && pool_cancel_s <= 100.0 * pool_launch_s);
+  // The committed lock-free booleans use a 1.25x margin: lock-free must
+  // sit at or below the locked baseline, give or take scheduler noise.
+  checks.add("chaselev_steal_not_worse_than_mutex_t8",
+             chaselev.min() <= 1.25 * locked_deque.min());
+  checks.add("mailbox_rtt_not_worse_than_locked",
+             lockfree_rtt.min() <= 1.25 * locked_rtt.min());
+  checks.print();
+  bench::Json verdicts = checks.json();
+  verdicts.set("hardware_threads", rt::hardware_threads())
+      .set("static_check_applicable", static_check_applicable);
+  doc.set("checks", std::move(verdicts));
+  bench::write_json("BENCH_rt.json", doc);
 
   // Exit non-zero — failing the bench-smoke ctest — only past a looser
   // 2x guard band: wide enough that scheduler noise on a loaded (or
   // single-core) box does not flake the tier-1 suite, tight enough to
   // catch a lock-free path that degenerated into a convoy.
-  const bool lockfree_guard = chaselev_s <= 2.0 * locked_deque_s &&
-                              lockfree_rtt_s <= 2.0 * locked_rtt_s;
-  if (!lockfree_guard) {
-    std::fprintf(stderr,
-                 "lock-free guard band exceeded: steal %.3f ms vs %.3f ms, "
-                 "rtt %.3f us vs %.3f us\n",
-                 chaselev_s * 1e3, locked_deque_s * 1e3, lockfree_rtt_s * 1e6,
-                 locked_rtt_s * 1e6);
+  if (chaselev.min() > 2.0 * locked_deque.min() ||
+      lockfree_rtt.min() > 2.0 * locked_rtt.min()) {
+    std::fprintf(stderr, "lock-free guard band exceeded\n");
     return 1;
   }
   return 0;

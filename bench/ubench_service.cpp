@@ -23,18 +23,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "drugdesign/drugdesign.hpp"
+#include "harness.hpp"
 #include "rt/parallel.hpp"
 #include "service/jobs.hpp"
 #include "service/server.hpp"
+#include "stats/descriptive.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -51,12 +51,6 @@ using pblpar::service::Server;
 using pblpar::service::ServerOptions;
 using pblpar::service::ServerStats;
 using pblpar::service::TenantConfig;
-
-double now_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// A job that spins until released; pins one lane so submissions queue
 /// up behind it deterministically.
@@ -203,17 +197,15 @@ BurstResult run_burst(std::int64_t jobs) {
                                           1)));
   }
   const ServerStats loaded = server.stats();
-  const double release_at = now_s();
-  gate.open.store(true, std::memory_order_release);
-  server.drain();
-  const double drained_at = now_s();
-
   BurstResult result;
+  result.drain_seconds = pblpar::bench::elapsed_s([&] {
+    gate.open.store(true, std::memory_order_release);
+    server.drain();
+  });
   result.submitted = jobs;
   result.in_flight_high_water = loaded.in_flight_high_water;
   result.queue_depth_high_water = loaded.queue_depth_high_water;
   result.depth_limit = options.max_queue_depth;
-  result.drain_seconds = drained_at - release_at;
   result.throughput_jobs_per_s =
       result.drain_seconds > 0.0
           ? static_cast<double>(jobs) / result.drain_seconds
@@ -345,23 +337,22 @@ LatencyResult run_latency(std::int64_t jobs, double rate_hz,
   // honoured with sleep_until, independent of completions — a slow
   // server cannot slow the arrivals down, which is what makes queueing
   // visible in the sojourn times.
-  const auto start = std::chrono::steady_clock::now();
   std::vector<JobTicket> tickets;
   tickets.reserve(static_cast<std::size_t>(jobs));
-  double arrival_s = 0.0;
-  for (std::int64_t j = 0; j < jobs; ++j) {
-    arrival_s += -std::log(1.0 - rng.next_double()) / rate_hz;
-    std::this_thread::sleep_until(
-        start + std::chrono::duration<double>(arrival_s));
-    const std::size_t tenant = static_cast<std::size_t>(
-        rng.next_below(static_cast<std::uint64_t>(kTenants.size())));
-    tickets.push_back(server.submit(kTenants[tenant].name,
-                                    make_mixed_job(rng)));
-  }
-  server.drain();
-  const double makespan =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double makespan = pblpar::bench::elapsed_s([&] {
+    const auto start = std::chrono::steady_clock::now();
+    double arrival_s = 0.0;
+    for (std::int64_t j = 0; j < jobs; ++j) {
+      arrival_s += -std::log(1.0 - rng.next_double()) / rate_hz;
+      std::this_thread::sleep_until(
+          start + std::chrono::duration<double>(arrival_s));
+      const std::size_t tenant = static_cast<std::size_t>(
+          rng.next_below(static_cast<std::uint64_t>(kTenants.size())));
+      tickets.push_back(server.submit(kTenants[tenant].name,
+                                      make_mixed_job(rng)));
+    }
+    server.drain();
+  });
 
   LatencyResult result;
   result.jobs = jobs;
@@ -385,17 +376,10 @@ LatencyResult run_latency(std::int64_t jobs, double rate_hz,
         break;
     }
   }
-  std::sort(sojourns.begin(), sojourns.end());
-  const auto percentile = [&](double p) {
-    if (sojourns.empty()) {
-      return 0.0;
-    }
-    const auto index = static_cast<std::size_t>(
-        p * static_cast<double>(sojourns.size() - 1));
-    return sojourns[index];
-  };
-  result.p50_s = percentile(0.50);
-  result.p99_s = percentile(0.99);
+  if (!sojourns.empty()) {
+    result.p50_s = pblpar::stats::quantile(sojourns, 0.50);
+    result.p99_s = pblpar::stats::quantile(sojourns, 0.99);
+  }
   result.throughput_jobs_per_s =
       makespan > 0.0 ? static_cast<double>(result.done) / makespan : 0.0;
   result.no_failures =
@@ -406,12 +390,9 @@ LatencyResult run_latency(std::int64_t jobs, double rate_hz,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    }
-  }
+  namespace bench = pblpar::bench;
+  const bool smoke = bench::smoke_flag(argc, argv);
+  bench::Json doc = bench::document("ubench_service", smoke);
 
   pblpar::rt::warm_up(pblpar::rt::ParallelConfig::host(2));
 
@@ -423,151 +404,95 @@ int main(int argc, char** argv) {
   const std::int64_t fairness_jobs = smoke ? 60 : 200;
   const std::int64_t fairness_window = smoke ? 90 : 300;
   const FairnessResult fairness = run_fairness(fairness_jobs, fairness_window);
-  std::printf("fairness (lanes=1, window=%lld):\n",
-              static_cast<long long>(fairness.window));
+  bench::Json tenants = bench::Json::array();
   for (const TenantShare& share : fairness.tenants) {
-    std::printf("  %-8s w=%.0f  %lld/%lld  share=%.3f expected=%.3f "
-                "ratio=%.3f\n",
-                share.name.c_str(), share.weight,
-                static_cast<long long>(share.window_completions),
-                static_cast<long long>(fairness.window), share.share,
-                share.expected, share.ratio);
+    tenants.push(bench::Json::object(
+        {{"name", share.name},
+         {"weight", share.weight},
+         {"window_completions", share.window_completions},
+         {"share", share.share},
+         {"expected", share.expected},
+         {"ratio", share.ratio}}));
   }
+  doc.set("fairness",
+          bench::show("fairness",
+                      bench::Json::object(
+                          {{"lanes", 1},
+                           {"window", fairness.window},
+                           {"max_ratio", fairness.max_ratio},
+                           {"min_ratio", fairness.min_ratio},
+                           {"light_first_completion",
+                            fairness.light_first_completion},
+                           {"tenants", std::move(tenants)}})));
 
   // The capacity claim is not scaled down in smoke mode: the queue is a
   // vector push under one lock, so 1200 pending submissions stay cheap.
   const std::int64_t burst_jobs = 1200;
   const BurstResult burst = run_burst(burst_jobs);
-  std::printf("burst: %lld jobs, in-flight high water %d, drain %.3f s "
-              "(%.0f jobs/s)\n",
-              static_cast<long long>(burst.submitted),
-              burst.in_flight_high_water, burst.drain_seconds,
-              burst.throughput_jobs_per_s);
+  doc.set("burst",
+          bench::show(
+              "burst",
+              bench::Json::object(
+                  {{"submitted", burst.submitted},
+                   {"in_flight_high_water", burst.in_flight_high_water},
+                   {"queue_depth_high_water", burst.queue_depth_high_water},
+                   {"depth_limit", burst.depth_limit},
+                   {"drain_seconds", burst.drain_seconds},
+                   {"throughput_jobs_per_s", burst.throughput_jobs_per_s},
+                   {"completed", burst.completed}})));
 
   const int backpressure_depth = 64;
   const std::int64_t backpressure_flood = smoke ? 100 : 400;
   const BackpressureResult backpressure =
       run_backpressure(backpressure_depth, backpressure_flood);
-  std::printf("backpressure: depth %d, accepted %lld, rejected %lld, min "
-              "retry-after %.6f s, high water %d\n",
-              backpressure.depth_limit,
-              static_cast<long long>(backpressure.accepted),
-              static_cast<long long>(backpressure.rejected),
-              backpressure.min_retry_after_s,
-              backpressure.queue_depth_high_water);
+  doc.set("backpressure",
+          bench::show("backpressure",
+                      bench::Json::object(
+                          {{"depth_limit", backpressure.depth_limit},
+                           {"accepted", backpressure.accepted},
+                           {"rejected", backpressure.rejected},
+                           {"min_retry_after_s",
+                            backpressure.min_retry_after_s},
+                           {"queue_depth_high_water",
+                            backpressure.queue_depth_high_water},
+                           {"completed", backpressure.completed}})));
 
   const std::int64_t latency_jobs = smoke ? 60 : 400;
   const double latency_rate_hz = smoke ? 2000.0 : 1500.0;
   const LatencyResult latency =
       run_latency(latency_jobs, latency_rate_hz, 0xC0FFEEULL);
-  std::printf("latency: %lld open-loop jobs @ %.0f Hz, p50 %.6f s, p99 "
-              "%.6f s, %.0f jobs/s\n",
-              static_cast<long long>(latency.jobs), latency.arrival_rate_hz,
-              latency.p50_s, latency.p99_s, latency.throughput_jobs_per_s);
+  doc.set("latency",
+          bench::show(
+              "latency",
+              bench::Json::object(
+                  {{"jobs", latency.jobs},
+                   {"arrival_rate_hz", latency.arrival_rate_hz},
+                   {"p50_s", latency.p50_s},
+                   {"p99_s", latency.p99_s},
+                   {"makespan_s", latency.makespan_s},
+                   {"throughput_jobs_per_s", latency.throughput_jobs_per_s},
+                   {"done", latency.done},
+                   {"failed", latency.failed},
+                   {"rejected", latency.rejected}})));
 
-  const bool checks_fair = fairness.within_1p25x;
-  const bool checks_light = fairness.light_not_starved;
-  const bool checks_burst =
-      burst.sustained_1000 && burst.all_done && burst.depth_bounded;
-  const bool checks_backpressure =
-      backpressure.all_rejected_have_retry_after &&
-      backpressure.rejected > 0 && backpressure.depth_bounded &&
-      backpressure.completed == backpressure.accepted;
-  const bool checks_latency = latency.no_failures;
-  std::printf("checks: fair-share<=1.25x=%s light-not-starved=%s "
-              "burst>=1000=%s backpressure=%s latency-no-failures=%s\n",
-              checks_fair ? "yes" : "no", checks_light ? "yes" : "no",
-              checks_burst ? "yes" : "no",
-              checks_backpressure ? "yes" : "no",
-              checks_latency ? "yes" : "no");
-
-  std::string json = "{\n  \"bench\": \"ubench_service\",\n";
-  json += std::string("  \"smoke\": ") + (smoke ? "true" : "false") + ",\n";
-  char buffer[512];
-  json += "  \"fairness\": {\n    \"lanes\": 1,\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "    \"window\": %lld,\n    \"max_ratio\": %.4f,\n"
-                "    \"min_ratio\": %.4f,\n"
-                "    \"light_first_completion\": %llu,\n    \"tenants\": [",
-                static_cast<long long>(fairness.window), fairness.max_ratio,
-                fairness.min_ratio,
-                static_cast<unsigned long long>(
-                    fairness.light_first_completion));
-  json += buffer;
-  for (std::size_t i = 0; i < fairness.tenants.size(); ++i) {
-    const TenantShare& share = fairness.tenants[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s\n      {\"name\":\"%s\",\"weight\":%.1f,"
-                  "\"window_completions\":%lld,\"share\":%.4f,"
-                  "\"expected\":%.4f,\"ratio\":%.4f}",
-                  i == 0 ? "" : ",", share.name.c_str(), share.weight,
-                  static_cast<long long>(share.window_completions),
-                  share.share, share.expected, share.ratio);
-    json += buffer;
-  }
-  json += "\n    ]\n  },\n";
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"burst\": {\"submitted\":%lld,"
-                "\"in_flight_high_water\":%d,\"queue_depth_high_water\":%d,"
-                "\"depth_limit\":%d,\"drain_seconds\":%.6f,"
-                "\"throughput_jobs_per_s\":%.1f,\"completed\":%lld},\n",
-                static_cast<long long>(burst.submitted),
-                burst.in_flight_high_water, burst.queue_depth_high_water,
-                burst.depth_limit, burst.drain_seconds,
-                burst.throughput_jobs_per_s,
-                static_cast<long long>(burst.completed));
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"backpressure\": {\"depth_limit\":%d,\"accepted\":%lld,"
-                "\"rejected\":%lld,\"min_retry_after_s\":%.9f,"
-                "\"queue_depth_high_water\":%d,\"completed\":%lld},\n",
-                backpressure.depth_limit,
-                static_cast<long long>(backpressure.accepted),
-                static_cast<long long>(backpressure.rejected),
-                backpressure.min_retry_after_s,
-                backpressure.queue_depth_high_water,
-                static_cast<long long>(backpressure.completed));
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"latency\": {\"jobs\":%lld,\"arrival_rate_hz\":%.0f,"
-                "\"p50_s\":%.6f,\"p99_s\":%.6f,\"makespan_s\":%.6f,"
-                "\"throughput_jobs_per_s\":%.1f,\"done\":%lld,"
-                "\"failed\":%lld,\"rejected\":%lld},\n",
-                static_cast<long long>(latency.jobs),
-                latency.arrival_rate_hz, latency.p50_s, latency.p99_s,
-                latency.makespan_s, latency.throughput_jobs_per_s,
-                static_cast<long long>(latency.done),
-                static_cast<long long>(latency.failed),
-                static_cast<long long>(latency.rejected));
-  json += buffer;
-  std::snprintf(buffer, sizeof(buffer),
-                "  \"checks\": {\"fair_share_within_1p25x\":%s,"
-                "\"light_tenant_not_starved\":%s,"
-                "\"burst_sustains_1000_in_flight\":%s,"
-                "\"queue_depth_bounded\":%s,"
-                "\"rejected_report_retry_after\":%s,"
-                "\"latency_no_failures\":%s}\n}\n",
-                checks_fair ? "true" : "false",
-                checks_light ? "true" : "false",
-                checks_burst ? "true" : "false",
-                (burst.depth_bounded && backpressure.depth_bounded)
-                    ? "true"
-                    : "false",
-                checks_backpressure ? "true" : "false",
-                checks_latency ? "true" : "false");
-  json += buffer;
-
-  std::ofstream out("BENCH_service.json");
-  out << json;
-  std::printf("wrote BENCH_service.json\n");
+  bench::Checks checks;
+  checks.add("fair_share_within_1p25x", fairness.within_1p25x);
+  checks.add("light_tenant_not_starved", fairness.light_not_starved);
+  checks.add("burst_sustains_1000_in_flight",
+             burst.sustained_1000 && burst.all_done && burst.depth_bounded);
+  checks.add("queue_depth_bounded",
+             burst.depth_bounded && backpressure.depth_bounded);
+  checks.add("rejected_report_retry_after",
+             backpressure.all_rejected_have_retry_after &&
+                 backpressure.rejected > 0 && backpressure.depth_bounded &&
+                 backpressure.completed == backpressure.accepted);
+  checks.add("latency_no_failures", latency.no_failures);
+  checks.print();
+  doc.set("checks", checks.json());
+  bench::write_json("BENCH_service.json", doc);
 
   // Every phase here is structural (gated queues, deterministic stride
   // order), not timing-sensitive, so the exit guard re-uses the committed
   // checks directly — except raw latency numbers, which only report.
-  if (!(checks_fair && checks_light && checks_burst && checks_backpressure &&
-        checks_latency)) {
-    std::fprintf(stderr, "service bench checks failed\n");
-    return 1;
-  }
-  return 0;
+  return checks.all() ? 0 : 1;
 }

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "cluster/engine.hpp"
 #include "cluster/wire.hpp"
-#include "mapreduce/job.hpp"  // Emitter
+#include "mapreduce/job.hpp"  // Emitter, detail::group_and_apply
 #include "mp/buffer.hpp"
 #include "util/error.hpp"
 
@@ -26,8 +25,9 @@ namespace pblpar::cluster {
 /// intermediate pairs travel). Output is byte-identical to
 /// mapreduce::Job with threads(1): the shuffle concatenates map-task
 /// buckets in task order, so each key's value list is in input order,
-/// grouping uses the same std::map and the same std::hash partitioner,
-/// and the final sort uses the same comparator.
+/// grouping uses the same core (mapreduce::detail::group_and_apply)
+/// and the same std::hash partitioner, and the final sort uses the same
+/// comparator.
 template <class K1, class V1, class K2, class V2, class VOut = V2>
 class DistJob {
  public:
@@ -206,15 +206,9 @@ class DistJob {
       if (live[static_cast<std::size_t>(p) % live.size()] != my_rank) {
         continue;
       }
-      const Bucket bucket = WireCodec<Bucket>::read(reader);
-      std::map<K2, std::vector<V2>> grouped;
-      for (const auto& [key, value] : bucket) {
-        grouped[key].push_back(value);
-      }
+      Bucket bucket = WireCodec<Bucket>::read(reader);
       comm.charge_ops(reduce_cost_ops_ * static_cast<double>(bucket.size()));
-      for (const auto& [key, values] : grouped) {
-        my_output.emplace_back(key, reduce_fn_(key, values));
-      }
+      mapreduce::detail::group_and_apply(bucket, reduce_fn_, my_output);
     }
 
     // --- Replicate the output: gather per-rank blobs, broadcast the
@@ -287,7 +281,9 @@ class DistJob {
     }
     if (combine_fn_ != nullptr) {
       for (Bucket& bucket : buckets) {
-        bucket = combine_bucket(bucket);
+        Bucket combined;
+        mapreduce::detail::group_and_apply(bucket, combine_fn_, combined);
+        bucket = std::move(combined);
       }
     }
     ctx.progress();
@@ -297,19 +293,6 @@ class DistJob {
       WireCodec<Bucket>::write(writer, bucket);
     }
     return writer.take();
-  }
-
-  Bucket combine_bucket(const Bucket& bucket) const {
-    std::map<K2, std::vector<V2>> grouped;
-    for (const auto& [key, value] : bucket) {
-      grouped[key].push_back(value);
-    }
-    Bucket combined;
-    combined.reserve(grouped.size());
-    for (const auto& [key, values] : grouped) {
-      combined.emplace_back(key, combine_fn_(key, values));
-    }
-    return combined;
   }
 
   std::vector<Bucket> decode_map_result(const mp::Buffer& bytes,

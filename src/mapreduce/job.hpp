@@ -72,6 +72,37 @@ class Emitter {
   std::vector<std::pair<K, V>> pairs_;
 };
 
+namespace detail {
+
+/// Sort-then-run-length grouping over a flat pair vector: the shuffle
+/// core shared by the combiner and the reducer, of Job and of the
+/// distributed cluster::DistJob. stable_sort keeps equal keys in
+/// emission order, so each key's value list is byte-identical to what a
+/// std::map<K, std::vector<V>> grouping produces, without one node
+/// allocation per key.
+template <class K, class V, class Fn, class Out>
+void group_and_apply(std::vector<std::pair<K, V>>& flat, const Fn& fn,
+                     std::vector<Out>& out) {
+  std::stable_sort(
+      flat.begin(), flat.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<V> values;
+  std::size_t i = 0;
+  while (i < flat.size()) {
+    std::size_t j = i;
+    values.clear();
+    while (j < flat.size() && !(flat[i].first < flat[j].first)) {
+      values.push_back(std::move(flat[j].second));
+      ++j;
+    }
+    auto result = fn(flat[i].first, values);
+    out.emplace_back(std::move(flat[i].first), std::move(result));
+    i = j;
+  }
+}
+
+}  // namespace detail
+
 /// An in-memory, multi-threaded MapReduce job, after the model in the
 /// course's Assignment 5 reading ("Introduction to Parallel Programming
 /// and MapReduce"): map over input records, shuffle by key, reduce each
@@ -481,35 +512,9 @@ class Job {
   /// the worker budget and fan-in in reduce_partition_spilled.
   static constexpr std::size_t kSpillBufferBytes = std::size_t{128} << 10;
 
-  /// Sort-then-run-length grouping over a flat pair vector: the shuffle
-  /// core shared by the combiner and the reducer. stable_sort keeps equal
-  /// keys in emission order, so each key's value list is byte-identical
-  /// to what the old std::map<K2, std::vector<V2>> grouping produced,
-  /// without one node allocation per key.
-  template <class Fn, class Out>
-  static void group_and_apply(std::vector<std::pair<K2, V2>>& flat,
-                              const Fn& fn, std::vector<Out>& out) {
-    std::stable_sort(
-        flat.begin(), flat.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<V2> values;
-    std::size_t i = 0;
-    while (i < flat.size()) {
-      std::size_t j = i;
-      values.clear();
-      while (j < flat.size() && !(flat[i].first < flat[j].first)) {
-        values.push_back(std::move(flat[j].second));
-        ++j;
-      }
-      auto result = fn(flat[i].first, values);
-      out.emplace_back(std::move(flat[i].first), std::move(result));
-      i = j;
-    }
-  }
-
   BucketT combine_bucket(BucketT bucket) const {
     BucketT combined;
-    group_and_apply(bucket, combine_fn_, combined);
+    detail::group_and_apply(bucket, combine_fn_, combined);
     return combined;
   }
 
@@ -530,7 +535,7 @@ class Job {
                   std::make_move_iterator(buckets[partition].end()));
     }
     std::vector<std::pair<K2, VOut>> reduced;
-    group_and_apply(flat, reduce_fn_, reduced);
+    detail::group_and_apply(flat, reduce_fn_, reduced);
     return reduced;
   }
 
@@ -540,9 +545,9 @@ class Job {
   /// final source. Every source is individually key-stable-sorted and the
   /// tree breaks ties by lower source index, so the merged stream equals
   /// a stable_sort of the worker-order concatenation — i.e. exactly what
-  /// reduce_partition's flatten + group_and_apply sees, record for
-  /// record. The grouping below is group_and_apply's run-length loop in
-  /// streaming form, so the reduced output is byte-identical.
+  /// reduce_partition's flatten + detail::group_and_apply sees, record
+  /// for record. The grouping below is group_and_apply's run-length loop
+  /// in streaming form, so the reduced output is byte-identical.
   std::vector<std::pair<K2, VOut>> reduce_partition_spilled(
       rt::TeamContext& tc, std::vector<std::vector<BucketT>>& worker_buckets,
       const std::vector<std::vector<std::vector<ShuffleRun>>>& worker_runs,

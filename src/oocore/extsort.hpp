@@ -39,7 +39,8 @@ inline std::size_t budget_from_multiplier(double multiplier,
 struct ExtSortOptions {
   /// Total working-set target across all workers. Run formation sizes
   /// each worker's run buffer at budget/threads; the merge derives its
-  /// fan-in so concurrent groups' read-ahead buffers stay under it too.
+  /// fan-in and concurrency so concurrent groups' read-ahead buffers stay
+  /// under it too (plus one output block per group; see MergePlan).
   std::size_t memory_budget_bytes = std::size_t{64} << 20;
 
   int threads = 0;  // 0 = rt::hardware_threads()
@@ -91,6 +92,41 @@ struct ExtSortReport {
   /// one per merge pass), when record_trace was set.
   std::vector<std::shared_ptr<const rt::RunProfile>> profiles;
 };
+
+/// How the merge passes use the budget: the k-way fan-in, and how many
+/// groups may merge at once. Every merging group holds 2 read-ahead
+/// blocks per input run, and a derived plan keeps that read-ahead inside
+/// the budget: concurrency * fan_in * 2 * io_buffer_bytes <=
+/// memory_budget_bytes. Each group also holds one output block, so the
+/// merge's buffers peak at concurrency * (2 * fan_in + 1) *
+/// io_buffer_bytes, up to `concurrency` blocks above the budget.
+struct MergePlan {
+  int fan_in = 2;
+  int concurrency = 1;
+};
+
+/// The merge plan for `threads` workers. Fan-in is what the budget can
+/// buffer with every worker merging (or `max_fan_in` when set), within
+/// [2, 128]. At the fan-in floor of 2 the budget may not hold `threads`
+/// groups at once, so concurrency drops to the groups it does hold (at
+/// least 1; validate() guarantees the budget covers one 2-way group).
+inline MergePlan plan_merge(const ExtSortOptions& opts, int threads) {
+  const std::size_t group_block_bytes = 2 * opts.io_buffer_bytes;
+  int fan_in = opts.max_fan_in;
+  if (fan_in == 0) {
+    fan_in = static_cast<int>(opts.memory_budget_bytes /
+                              (group_block_bytes *
+                               static_cast<std::size_t>(threads)));
+  }
+  MergePlan plan;
+  plan.fan_in = std::clamp(fan_in, 2, 128);
+  const std::size_t groups_in_budget =
+      opts.memory_budget_bytes /
+      (group_block_bytes * static_cast<std::size_t>(plan.fan_in));
+  plan.concurrency = static_cast<int>(std::clamp<std::size_t>(
+      groups_in_budget, 1, static_cast<std::size_t>(threads)));
+  return plan;
+}
 
 namespace detail {
 
@@ -233,17 +269,13 @@ ExtSortReport sort_file(const std::filesystem::path& input,
   }
   report.initial_runs = static_cast<int>(num_runs);
 
-  // --- Phase 2: k-way merge passes. Fan-in is what the budget can
-  // buffer: every concurrently-merging group holds 2 read-ahead blocks
-  // per input run, and up to `threads` groups run at once.
-  int fan_in = opts.max_fan_in;
-  if (fan_in == 0) {
-    fan_in = static_cast<int>(opts.memory_budget_bytes /
-                              (2 * opts.io_buffer_bytes *
-                               static_cast<std::size_t>(threads)));
-  }
-  fan_in = std::clamp(fan_in, 2, 128);
+  // --- Phase 2: k-way merge passes, on a team no wider than the
+  // number of groups the budget can buffer at once.
+  const MergePlan plan = plan_merge(opts, threads);
+  const int fan_in = plan.fan_in;
   report.merge_fan_in = fan_in;
+  rt::ParallelConfig merge_config = config;
+  merge_config.num_threads = plan.concurrency;
 
   std::vector<fs::path> current = std::move(runs);
   std::uint64_t merge_salt = 1'000'000;
@@ -259,7 +291,7 @@ ExtSortReport sort_file(const std::filesystem::path& input,
     }
 
     Prefetcher prefetcher;  // one read-ahead thread serves the whole pass
-    rt::RunResult merged = rt::parallel(config, [&](rt::TeamContext& tc) {
+    rt::RunResult merged = rt::parallel(merge_config, [&](rt::TeamContext& tc) {
       rt::for_each(
           tc, rt::Range::upto(static_cast<std::int64_t>(groups)),
           rt::Schedule::dynamic(1), [&](std::int64_t g) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -52,6 +53,20 @@ double sample_sd(std::span<const double> sample) {
   util::require(sample.size() >= 2,
                 "sample_sd: need at least two observations");
   return summarize(sample).sd;
+}
+
+double quantile(std::span<const double> sample, double q) {
+  util::require(!sample.empty(), "quantile: sample must be non-empty");
+  util::require(q >= 0.0 && q <= 1.0, "quantile: q must lie in [0, 1]");
+  std::vector<double> sorted(sample.begin(), sample.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double h = static_cast<double>(sorted.size() - 1) * q;
+  const auto lo = static_cast<std::size_t>(std::floor(h));
+  if (lo + 1 >= sorted.size()) {
+    return sorted[lo];
+  }
+  return sorted[lo] + (h - static_cast<double>(lo)) *
+                          (sorted[lo + 1] - sorted[lo]);
 }
 
 }  // namespace pblpar::stats

@@ -31,4 +31,11 @@ double mean_of(std::span<const double> sample);
 /// Sample standard deviation, n-1 denominator (requires n >= 2).
 double sample_sd(std::span<const double> sample);
 
+/// The q-quantile of a sample, q in [0, 1], by linear interpolation
+/// between order statistics: with the sample sorted, position
+/// h = (n-1)q lands between x[floor(h)] and x[floor(h)+1]. q = 0 is the
+/// minimum, q = 1 the maximum, q = 0.5 the median. Requires a non-empty
+/// sample; the input need not be sorted.
+double quantile(std::span<const double> sample, double q);
+
 }  // namespace pblpar::stats

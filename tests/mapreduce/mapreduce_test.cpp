@@ -181,6 +181,28 @@ TEST(JobTest, ValueListsArriveInWorkerScanOrder) {
   EXPECT_EQ(output[1].second, (std::vector<int>{101, 103, 105, 107, 109}));
 }
 
+TEST(JobTest, GroupAndApplyMatchesAnOrderedMapGrouping) {
+  // The shared shuffle core (Job and cluster::DistJob): key-ordered
+  // output, each key's values in input order — what a
+  // std::map<K, std::vector<V>> grouping gives — on duplicate-heavy keys.
+  std::vector<std::pair<std::string, int>> flat;
+  std::map<std::string, std::vector<int>> reference;
+  std::uint64_t state = 12345;
+  for (int i = 0; i < 2000; ++i) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    std::string key = "k" + std::to_string((state >> 33) % 97);
+    reference[key].push_back(i);
+    flat.emplace_back(std::move(key), i);
+  }
+  std::vector<std::pair<std::string, std::vector<int>>> grouped;
+  detail::group_and_apply(
+      flat, [](const std::string&, const std::vector<int>& v) { return v; },
+      grouped);
+  const std::vector<std::pair<std::string, std::vector<int>>> expected(
+      reference.begin(), reference.end());
+  EXPECT_EQ(grouped, expected);
+}
+
 TEST(WordCountTest, CountsAcrossDocuments) {
   const std::vector<std::string> docs{
       "To be or not to be",

@@ -465,6 +465,50 @@ TEST_F(OocoreTest, SortFileMultiPassMergeWithTinyFanIn) {
   EXPECT_EQ(read_records(out), records);
 }
 
+TEST_F(OocoreTest, MergePlanKeepsConcurrentReadAheadInsideTheBudget) {
+  struct Shape {
+    std::size_t budget;
+    std::size_t io_buffer;
+  };
+  // Smallest legal budget, the bench smoke shape (where the fan-in
+  // floor of 2 bites), the perfbench spill_sort shape, and a roomy one.
+  const Shape shapes[] = {{std::size_t{64} << 10, std::size_t{16} << 10},
+                          {std::size_t{1} << 20, std::size_t{256} << 10},
+                          {std::size_t{512} << 10, std::size_t{16} << 10},
+                          {std::size_t{64} << 20, std::size_t{256} << 10}};
+  for (const Shape& shape : shapes) {
+    ExtSortOptions opts;
+    opts.memory_budget_bytes = shape.budget;
+    opts.io_buffer_bytes = shape.io_buffer;
+    opts.validate();
+    for (int threads = 1; threads <= 16; ++threads) {
+      const MergePlan plan = plan_merge(opts, threads);
+      SCOPED_TRACE(testing::Message() << "budget " << shape.budget << " io "
+                                      << shape.io_buffer << " threads "
+                                      << threads);
+      EXPECT_GE(plan.fan_in, 2);
+      EXPECT_LE(plan.fan_in, 128);
+      EXPECT_GE(plan.concurrency, 1);
+      EXPECT_LE(plan.concurrency, threads);
+      // Read-ahead only: each group's output block comes on top.
+      EXPECT_LE(static_cast<std::size_t>(plan.concurrency) *
+                    static_cast<std::size_t>(plan.fan_in) * 2 *
+                    shape.io_buffer,
+                shape.budget);
+    }
+  }
+  ExtSortOptions smoke;
+  smoke.memory_budget_bytes = std::size_t{1} << 20;
+  smoke.io_buffer_bytes = std::size_t{256} << 10;
+  EXPECT_EQ(plan_merge(smoke, 4).fan_in, 2);
+  EXPECT_EQ(plan_merge(smoke, 4).concurrency, 1);
+  ExtSortOptions spill_sort;
+  spill_sort.memory_budget_bytes = std::size_t{512} << 10;
+  spill_sort.io_buffer_bytes = std::size_t{16} << 10;
+  EXPECT_EQ(plan_merge(spill_sort, 4).fan_in, 4);
+  EXPECT_EQ(plan_merge(spill_sort, 4).concurrency, 4);
+}
+
 TEST_F(OocoreTest, SortFileSurvivesIoChaos) {
   std::vector<std::uint64_t> records = random_records(20000, 37);
   ScratchDir scratch("pblpar-test");
