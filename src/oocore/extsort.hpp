@@ -39,13 +39,13 @@ inline std::size_t budget_from_multiplier(double multiplier,
 struct ExtSortOptions {
   /// Total working-set target across all workers. Run formation sizes
   /// each worker's run buffer at budget/threads; the merge derives its
-  /// fan-in and concurrency so concurrent groups' read-ahead buffers stay
-  /// under it too (plus one output block per group; see MergePlan).
+  /// fan-in and concurrency so every concurrent group's input and output
+  /// blocks stay under it too (see MergePlan).
   std::size_t memory_budget_bytes = std::size_t{64} << 20;
 
   int threads = 0;  // 0 = rt::hardware_threads()
 
-  /// Size of each buffered-I/O block (spill writers, merge read-ahead).
+  /// Size of each buffered-I/O block (spill writers, merge readers).
   std::size_t io_buffer_bytes = std::size_t{256} << 10;
 
   /// Cap on merge fan-in; 0 derives it from the budget. >= 2 otherwise.
@@ -94,35 +94,34 @@ struct ExtSortReport {
 };
 
 /// How the merge passes use the budget: the k-way fan-in, and how many
-/// groups may merge at once. Every merging group holds 2 read-ahead
-/// blocks per input run, and a derived plan keeps that read-ahead inside
-/// the budget: concurrency * fan_in * 2 * io_buffer_bytes <=
-/// memory_budget_bytes. Each group also holds one output block, so the
-/// merge's buffers peak at concurrency * (2 * fan_in + 1) *
-/// io_buffer_bytes, up to `concurrency` blocks above the budget.
+/// groups may merge at once. Every merging group holds one block per
+/// input run plus one output block, and a derived plan keeps all of them
+/// inside the budget: concurrency * (fan_in + 1) * io_buffer_bytes <=
+/// memory_budget_bytes.
 struct MergePlan {
   int fan_in = 2;
   int concurrency = 1;
 };
 
 /// The merge plan for `threads` workers. Fan-in is what the budget can
-/// buffer with every worker merging (or `max_fan_in` when set), within
-/// [2, 128]. At the fan-in floor of 2 the budget may not hold `threads`
-/// groups at once, so concurrency drops to the groups it does hold (at
-/// least 1; validate() guarantees the budget covers one 2-way group).
+/// buffer with every worker merging, less each group's output block (or
+/// `max_fan_in` when set), within [2, 128]. At the fan-in floor of 2 the
+/// budget may not hold `threads` groups at once, so concurrency drops to
+/// the groups it does hold (at least 1; validate() guarantees the budget
+/// covers one 2-way group).
 inline MergePlan plan_merge(const ExtSortOptions& opts, int threads) {
-  const std::size_t group_block_bytes = 2 * opts.io_buffer_bytes;
   int fan_in = opts.max_fan_in;
   if (fan_in == 0) {
-    fan_in = static_cast<int>(opts.memory_budget_bytes /
-                              (group_block_bytes *
-                               static_cast<std::size_t>(threads)));
+    const std::size_t blocks_per_worker =
+        opts.memory_budget_bytes /
+        (opts.io_buffer_bytes * static_cast<std::size_t>(threads));
+    fan_in = static_cast<int>(blocks_per_worker) - 1;  // 1 output block
   }
   MergePlan plan;
   plan.fan_in = std::clamp(fan_in, 2, 128);
   const std::size_t groups_in_budget =
       opts.memory_budget_bytes /
-      (group_block_bytes * static_cast<std::size_t>(plan.fan_in));
+      (opts.io_buffer_bytes * static_cast<std::size_t>(plan.fan_in + 1));
   plan.concurrency = static_cast<int>(std::clamp<std::size_t>(
       groups_in_budget, 1, static_cast<std::size_t>(threads)));
   return plan;
@@ -151,10 +150,11 @@ inline void poll_merge_cancel(const rt::CancelToken& token) {
 /// segments; workers on the persistent rt::TeamPool claim segments by
 /// work stealing, sort each in memory, and spill sorted runs to scratch
 /// with buffered, chaos-aware I/O. Phase 2 (merge): runs merge k ways
-/// through a loser tree, each run streamed through a double-buffered
-/// read-ahead fed by a shared prefetch thread; when the budget cannot
-/// hold every run's buffers at once, intermediate passes cut the run
-/// count by the fan-in until one pass writes `output`.
+/// through a loser tree, each run streamed through one synchronous
+/// SpillReader block (freshly written runs are page-cached, and the
+/// kernel's sequential readahead covers cold ones); when the budget
+/// cannot hold every run's block at once, intermediate passes cut the
+/// run count by the fan-in until one pass writes `output`.
 ///
 /// Peak memory stays O(memory_budget_bytes) regardless of file size; the
 /// scratch disk high-water mark is at most ~2x the input (live runs plus
@@ -290,7 +290,6 @@ ExtSortReport sort_file(const std::filesystem::path& input,
       next[g] = final_pass ? output : scratch->next_path("merge");
     }
 
-    Prefetcher prefetcher;  // one read-ahead thread serves the whole pass
     rt::RunResult merged = rt::parallel(merge_config, [&](rt::TeamContext& tc) {
       rt::for_each(
           tc, rt::Range::upto(static_cast<std::int64_t>(groups)),
@@ -302,16 +301,16 @@ ExtSortReport sort_file(const std::filesystem::path& input,
                          current.size());
             const double start_s = tc.trace_now();
 
-            using Source = RunReader<T, DoubleBufferedReader>;
-            std::vector<std::unique_ptr<DoubleBufferedReader>> files;
+            using Source = RunReader<T>;
+            std::vector<std::unique_ptr<SpillReader>> files;
             std::vector<std::unique_ptr<Source>> sources;
             std::vector<Source*> source_ptrs;
             std::int64_t in_bytes = 0;
             for (std::size_t i = first; i < last; ++i) {
               in_bytes += static_cast<std::int64_t>(
                   fs::file_size(current[i]));
-              files.push_back(std::make_unique<DoubleBufferedReader>(
-                  current[i], opts.io_buffer_bytes, prefetcher, opts.chaos,
+              files.push_back(std::make_unique<SpillReader>(
+                  current[i], opts.io_buffer_bytes, opts.chaos,
                   merge_salt + i));
               sources.push_back(std::make_unique<Source>(*files.back()));
               source_ptrs.push_back(sources.back().get());

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "util/error.hpp"
 
@@ -66,9 +67,8 @@ std::size_t RawFile::read(void* out, std::size_t count) {
   std::size_t off = 0;
   while (off < count) {
     if (chaos_reads_ && rng_.bernoulli(chaos_.slow_read_probability)) {
-      // Injected slow read: the disk "went away" for a moment. A merge
-      // over DoubleBufferedReaders should ride this out of its other
-      // buffers instead of stalling the compare loop.
+      // Injected slow read: the disk "went away" for a moment, and the
+      // merge or reduce that issued the read waits it out.
       std::this_thread::sleep_for(
           std::chrono::duration<double>(chaos_.slow_read_delay_s));
     }
@@ -130,7 +130,7 @@ SpillWriter::SpillWriter(const std::filesystem::path& path,
   buffer_.resize(buffer_bytes);
 }
 
-void SpillWriter::write(const void* data, std::size_t count) {
+void SpillWriter::write_slow(const void* data, std::size_t count) {
   const auto* src = static_cast<const std::byte*>(data);
   total_bytes_ += static_cast<std::int64_t>(count);
   // Large blocks skip the staging copy once the buffer is drained.
@@ -180,7 +180,7 @@ SpillReader::SpillReader(const std::filesystem::path& path,
   }
 }
 
-std::size_t SpillReader::read(void* out, std::size_t count) {
+std::size_t SpillReader::read_slow(void* out, std::size_t count) {
   auto* dst = static_cast<std::byte*>(out);
   std::size_t off = 0;
   while (off < count) {
@@ -207,142 +207,6 @@ std::size_t SpillReader::read(void* out, std::size_t count) {
     off += take;
   }
   total_bytes_ += static_cast<std::int64_t>(off);
-  return off;
-}
-
-Prefetcher::~Prefetcher() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-    ++version_;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
-void Prefetcher::attach(DoubleBufferedReader* reader) {
-  std::lock_guard<std::mutex> lock(mu_);
-  readers_.push_back(reader);
-  ++version_;
-  if (!thread_.joinable()) {
-    thread_ = std::thread([this] { loop(); });
-  }
-  cv_.notify_one();
-}
-
-void Prefetcher::detach(DoubleBufferedReader* reader) {
-  std::lock_guard<std::mutex> lock(mu_);
-  readers_.erase(std::remove(readers_.begin(), readers_.end(), reader),
-                 readers_.end());
-  ++version_;
-  // Holding mu_ here means the loop is not mid-fill on `reader`: fills
-  // happen with mu_ held, so after detach returns the reader may die.
-}
-
-void Prefetcher::poke() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++version_;
-  }
-  cv_.notify_one();
-}
-
-void Prefetcher::loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (stop_) {
-      return;
-    }
-    const std::uint64_t seen = version_;
-    bool filled = false;
-    for (DoubleBufferedReader* reader : readers_) {
-      // try_fill runs the fread with mu_ held — that serializes fills
-      // (one disk, one prefetch stream) and makes detach() a safe
-      // "not currently filling you" barrier. Consumers never take mu_;
-      // they only poke() after releasing their own lock.
-      filled = reader->try_fill() || filled;
-    }
-    if (!filled) {
-      cv_.wait(lock, [&] { return stop_ || version_ != seen; });
-    }
-  }
-}
-
-DoubleBufferedReader::DoubleBufferedReader(const std::filesystem::path& path,
-                                           std::size_t buffer_bytes,
-                                           Prefetcher& prefetcher,
-                                           const IoChaos& chaos,
-                                           std::uint64_t salt)
-    : file_(path, RawFile::Mode::Read, chaos, salt), prefetcher_(&prefetcher) {
-  util::require(buffer_bytes > 0,
-                "DoubleBufferedReader: buffer_bytes must be > 0");
-  front_.resize(buffer_bytes);
-  back_.resize(buffer_bytes);
-  prefetcher_->attach(this);
-}
-
-DoubleBufferedReader::~DoubleBufferedReader() { prefetcher_->detach(this); }
-
-bool DoubleBufferedReader::try_fill() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (back_ready_ || file_done_) {
-      return false;
-    }
-  }
-  // Between the check above and the store below only this (single)
-  // prefetch thread touches back_: the consumer needs back_ready_ true
-  // before it may swap, and only this thread sets it.
-  const std::size_t got = file_.read(back_.data(), back_.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    back_len_ = got;
-    back_ready_ = true;
-    if (got < back_.size()) {
-      file_done_ = true;
-    }
-  }
-  ready_cv_.notify_one();
-  return true;
-}
-
-std::size_t DoubleBufferedReader::read(void* out, std::size_t count) {
-  auto* dst = static_cast<std::byte*>(out);
-  std::size_t off = 0;
-  while (off < count) {
-    if (front_pos_ < front_len_) {
-      const std::size_t take = std::min(count - off, front_len_ - front_pos_);
-      std::memcpy(dst + off, front_.data() + front_pos_, take);
-      front_pos_ += take;
-      off += take;
-      continue;
-    }
-    if (exhausted_) {
-      break;
-    }
-    bool refill = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ready_cv_.wait(lock, [&] { return back_ready_ || file_done_; });
-      if (back_ready_) {
-        front_.swap(back_);
-        front_len_ = back_len_;
-        front_pos_ = 0;
-        back_ready_ = false;
-        if (front_len_ == 0) {
-          exhausted_ = true;  // final block was empty
-        }
-        refill = !file_done_;
-      } else {
-        exhausted_ = true;  // file done and nothing buffered
-      }
-    }
-    if (refill) {
-      prefetcher_->poke();
-    }
-  }
   return off;
 }
 

@@ -1,13 +1,11 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -25,10 +23,10 @@ class IoError : public std::runtime_error {
 /// Seeded I/O fault injection for the out-of-core tier, the disk-side
 /// sibling of rt::ChaosPlan: short writes exercise the writer's retry
 /// loop, slow reads stall a reader the way a cold disk or a contended
-/// spindle would (and so exercise the double-buffered read-ahead
-/// overlap). Draws come from one deterministic xoshiro stream per file
-/// (derived from `seed` and a per-file salt), so a plan replays
-/// identically. Empty plan (the default) = no injection.
+/// spindle would (reads are synchronous, so the stall holds up the
+/// merge or reduce that issued it). Draws come from one deterministic
+/// xoshiro stream per file (derived from `seed` and a per-file salt), so
+/// a plan replays identically. Empty plan (the default) = no injection.
 struct IoChaos {
   /// Probability, per physical write, of the write stopping short
   /// mid-buffer (the retry loop then continues from the offset).
@@ -94,7 +92,18 @@ class SpillWriter {
   SpillWriter(const std::filesystem::path& path, std::size_t buffer_bytes,
               const IoChaos& chaos = {}, std::uint64_t salt = 0);
 
-  void write(const void* data, std::size_t count);
+  /// Inline fast path (a merge writes one small record per call): copy
+  /// into the block when it fits without filling it. Empty writes take
+  /// the slow path, which never hands memcpy a possibly-null pointer.
+  void write(const void* data, std::size_t count) {
+    if (count != 0 && count < buffer_.size() - fill_) {
+      std::memcpy(buffer_.data() + fill_, data, count);
+      fill_ += count;
+      total_bytes_ += static_cast<std::int64_t>(count);
+      return;
+    }
+    write_slow(data, count);
+  }
 
   /// Flush and close; must be called on success paths (the destructor
   /// closes without flushing guarantees, for abandoned files).
@@ -103,6 +112,7 @@ class SpillWriter {
   std::int64_t bytes_written() const { return total_bytes_; }
 
  private:
+  void write_slow(const void* data, std::size_t count);
   void flush();
 
   RawFile file_;
@@ -123,92 +133,30 @@ class SpillReader {
               std::uint64_t offset = 0, std::uint64_t limit = npos);
 
   /// Returns bytes delivered; < count only at the end of the window.
-  std::size_t read(void* out, std::size_t count);
+  /// Inline fast path (a merge reads one small record per call): serve
+  /// from the block when it holds the whole request (empty reads take
+  /// the slow path, as empty writes do).
+  std::size_t read(void* out, std::size_t count) {
+    if (count != 0 && count <= len_ - pos_) {
+      std::memcpy(out, buffer_.data() + pos_, count);
+      pos_ += count;
+      total_bytes_ += static_cast<std::int64_t>(count);
+      return count;
+    }
+    return read_slow(out, count);
+  }
 
   std::int64_t bytes_read() const { return total_bytes_; }
 
  private:
+  std::size_t read_slow(void* out, std::size_t count);
+
   RawFile file_;
   std::vector<std::byte> buffer_;
   std::size_t pos_ = 0;
   std::size_t len_ = 0;
   std::uint64_t remaining_;
   std::int64_t total_bytes_ = 0;
-};
-
-class DoubleBufferedReader;
-
-/// One background thread that keeps the back buffers of a set of
-/// DoubleBufferedReaders full, so a k-way merge overlaps disk reads with
-/// compare work. One Prefetcher serves a whole merge pass: every group's
-/// readers attach to it, and the thread round-robins whichever back
-/// buffers are empty. Readers detach (or die) before the Prefetcher does.
-class Prefetcher {
- public:
-  Prefetcher() = default;
-  ~Prefetcher();
-
-  Prefetcher(const Prefetcher&) = delete;
-  Prefetcher& operator=(const Prefetcher&) = delete;
-
-  void attach(DoubleBufferedReader* reader);
-  void detach(DoubleBufferedReader* reader);
-
-  /// Wake the thread: some back buffer became refillable.
-  void poke();
-
- private:
-  void loop();
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<DoubleBufferedReader*> readers_;
-  std::uint64_t version_ = 0;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
-/// Double-buffered sequential file reader: the consumer drains the front
-/// buffer while the shared Prefetcher thread refills the back buffer, so
-/// the next block is (usually) already in memory when the front runs dry.
-/// The consumer blocks only when it outruns the disk.
-class DoubleBufferedReader {
- public:
-  DoubleBufferedReader(const std::filesystem::path& path,
-                       std::size_t buffer_bytes, Prefetcher& prefetcher,
-                       const IoChaos& chaos = {}, std::uint64_t salt = 0);
-  ~DoubleBufferedReader();
-
-  DoubleBufferedReader(const DoubleBufferedReader&) = delete;
-  DoubleBufferedReader& operator=(const DoubleBufferedReader&) = delete;
-
-  /// Returns bytes delivered; < count only at end of file.
-  std::size_t read(void* out, std::size_t count);
-
- private:
-  friend class Prefetcher;
-
-  /// Prefetcher-side: fill the back buffer if it is refillable. Returns
-  /// true when a fill happened.
-  bool try_fill();
-
-  RawFile file_;
-  Prefetcher* prefetcher_;
-
-  // Consumer-owned.
-  std::vector<std::byte> front_;
-  std::size_t front_pos_ = 0;
-  std::size_t front_len_ = 0;
-  bool exhausted_ = false;
-
-  // Handoff state, guarded by mu_. The prefetcher owns back_ while
-  // back_ready_ is false; the consumer owns it (for the swap) once true.
-  std::mutex mu_;
-  std::condition_variable ready_cv_;
-  std::vector<std::byte> back_;
-  std::size_t back_len_ = 0;
-  bool back_ready_ = false;
-  bool file_done_ = false;
 };
 
 }  // namespace pblpar::oocore

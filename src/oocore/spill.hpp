@@ -73,13 +73,12 @@ class RunWriter {
   std::int64_t records_ = 0;
 };
 
-/// Record-stream reader matching RunWriter's framing, templated on the
-/// byte source (SpillReader or DoubleBufferedReader) so the per-record
-/// read inlines instead of paying a virtual call.
-template <class T, class Source = SpillReader>
+/// Record-stream reader matching RunWriter's framing over a SpillReader,
+/// whose in-block fast path inlines into the per-record pull.
+template <class T>
 class RunReader {
  public:
-  explicit RunReader(Source& source) : source_(&source) {}
+  explicit RunReader(SpillReader& source) : source_(&source) {}
 
   /// False at end of stream; throws IoError on a torn record.
   bool pull(T* out) {
@@ -115,7 +114,7 @@ class RunReader {
   }
 
  private:
-  Source* source_;
+  SpillReader* source_;
   std::vector<std::byte> scratch_;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -201,27 +202,97 @@ TEST_F(OocoreTest, SpillRoundTripSurvivesChaos) {
   EXPECT_EQ(back, records);
 }
 
-TEST_F(OocoreTest, DoubleBufferedReaderMatchesPlainRead) {
+TEST_F(OocoreTest, SpillReaderAndWriterAreExactAcrossBlockBoundaries) {
+  constexpr std::size_t kBlock = 4096;
   const std::vector<std::uint64_t> records = random_records(40000, 11);
+  const auto total = records.size() * sizeof(std::uint64_t);
+  const auto* src = reinterpret_cast<const char*>(records.data());
   ScratchDir scratch("pblpar-test");
-  const fs::path path = scratch.next_path("big");
-  write_records(path, records);
 
-  Prefetcher prefetcher;
-  DoubleBufferedReader reader(path, 4096, prefetcher);
-  std::vector<std::uint64_t> back(records.size());
-  std::size_t off = 0;
-  const auto total = back.size() * sizeof(std::uint64_t);
-  auto* bytes = reinterpret_cast<char*>(back.data());
-  // Odd-sized requests so reads straddle buffer swaps.
-  while (off < total) {
-    const std::size_t got =
-        reader.read(bytes + off, std::min<std::size_t>(1234, total - off));
-    ASSERT_GT(got, 0u);
-    off += got;
+  // Writer: 8-byte writes (the in-block fast path, and the slow path
+  // once one fills the block) mixed with block-straddling 1234-byte
+  // writes and writes of a block or more (the bypass) must produce the
+  // same bytes as one bulk write.
+  const fs::path bulk = scratch.next_path("bulk");
+  write_records(bulk, records);
+  const fs::path mixed = scratch.next_path("mixed");
+  {
+    SpillWriter writer(mixed, kBlock);
+    const std::size_t sizes[] = {8, 8, 8, kBlock, 8, 1234, 3 * kBlock + 8,
+                                 1234, 1234, 1234, 1234, 8};
+    std::size_t off = 0;
+    for (; off < 3 * kBlock; off += 8) {
+      writer.write(src + off, 8);
+    }
+    for (std::size_t i = 0; off < total; ++i) {
+      const std::size_t take = std::min(sizes[i % std::size(sizes)],
+                                        total - off);
+      writer.write(src + off, take);
+      off += take;
+    }
+    EXPECT_EQ(writer.bytes_written(), static_cast<std::int64_t>(total));
+    writer.close();
   }
-  EXPECT_EQ(reader.read(bytes, 1), 0u);  // exhausted
-  EXPECT_EQ(back, records);
+  EXPECT_EQ(read_records(mixed), records);
+
+  // Reader: odd-sized (1234 B) and 8-byte reads straddle block refills,
+  // then read() returns 0 once the file is exhausted.
+  for (const std::size_t step : {std::size_t{1234}, std::size_t{8}}) {
+    SpillReader reader(bulk, kBlock);
+    std::vector<std::uint64_t> back(records.size());
+    auto* bytes = reinterpret_cast<char*>(back.data());
+    std::size_t off = 0;
+    while (off < total) {
+      const std::size_t got =
+          reader.read(bytes + off, std::min(step, total - off));
+      ASSERT_GT(got, 0u);
+      off += got;
+    }
+    EXPECT_EQ(reader.read(bytes, 1), 0u);
+    EXPECT_EQ(reader.read(bytes, 8), 0u);
+    EXPECT_EQ(reader.bytes_read(), static_cast<std::int64_t>(total));
+    EXPECT_EQ(back, records);
+  }
+
+  // An offset/limit window that starts and ends mid-block delivers
+  // exactly its bytes, then 0.
+  {
+    const std::uint64_t offset = kBlock + 24;
+    const std::uint64_t limit = 3 * kBlock + 1000;
+    SpillReader reader(bulk, kBlock, {}, 0, offset, limit);
+    std::vector<char> window(limit + kBlock);
+    std::size_t off = 0;
+    while (off < window.size()) {
+      const std::size_t got = reader.read(
+          window.data() + off, std::min<std::size_t>(1234, window.size() - off));
+      if (got == 0) {
+        break;
+      }
+      off += got;
+    }
+    ASSERT_EQ(off, limit);
+    EXPECT_TRUE(std::equal(window.begin(),
+                           window.begin() + static_cast<std::ptrdiff_t>(limit),
+                           src + offset));
+    EXPECT_EQ(reader.read(window.data(), 8), 0u);
+  }
+
+  // A trailing partial record is torn: RunReader throws after the whole
+  // records before it.
+  const fs::path torn = scratch.next_path("torn");
+  {
+    SpillWriter writer(torn, kBlock);
+    writer.write(src, 513 * sizeof(std::uint64_t) + 5);
+    writer.close();
+  }
+  SpillReader source(torn, kBlock);
+  RunReader<std::uint64_t> reader(source);
+  std::uint64_t record = 0;
+  for (std::size_t i = 0; i < 513; ++i) {
+    ASSERT_TRUE(reader.pull(&record));
+    EXPECT_EQ(record, records[i]);
+  }
+  EXPECT_THROW(reader.pull(&record), IoError);
 }
 
 TEST_F(OocoreTest, RunWriterReaderRoundTripsWireRecords) {
@@ -465,7 +536,7 @@ TEST_F(OocoreTest, SortFileMultiPassMergeWithTinyFanIn) {
   EXPECT_EQ(read_records(out), records);
 }
 
-TEST_F(OocoreTest, MergePlanKeepsConcurrentReadAheadInsideTheBudget) {
+TEST_F(OocoreTest, MergePlanKeepsEveryMergeBufferInsideTheBudget) {
   struct Shape {
     std::size_t budget;
     std::size_t io_buffer;
@@ -490,9 +561,9 @@ TEST_F(OocoreTest, MergePlanKeepsConcurrentReadAheadInsideTheBudget) {
       EXPECT_LE(plan.fan_in, 128);
       EXPECT_GE(plan.concurrency, 1);
       EXPECT_LE(plan.concurrency, threads);
-      // Read-ahead only: each group's output block comes on top.
+      // One block per input run plus the group's output block.
       EXPECT_LE(static_cast<std::size_t>(plan.concurrency) *
-                    static_cast<std::size_t>(plan.fan_in) * 2 *
+                    static_cast<std::size_t>(plan.fan_in + 1) *
                     shape.io_buffer,
                 shape.budget);
     }
@@ -505,8 +576,31 @@ TEST_F(OocoreTest, MergePlanKeepsConcurrentReadAheadInsideTheBudget) {
   ExtSortOptions spill_sort;
   spill_sort.memory_budget_bytes = std::size_t{512} << 10;
   spill_sort.io_buffer_bytes = std::size_t{16} << 10;
-  EXPECT_EQ(plan_merge(spill_sort, 4).fan_in, 4);
+  EXPECT_EQ(plan_merge(spill_sort, 4).fan_in, 7);
   EXPECT_EQ(plan_merge(spill_sort, 4).concurrency, 4);
+}
+
+TEST_F(OocoreTest, SortFileMergesTheSpillSortShapeInTwoPasses) {
+  // The perfbench spill_sort shape: a 4 MiB input, 8x its budget.
+  std::vector<std::uint64_t> records =
+      random_records((std::int64_t{4} << 20) / 8, 43);
+  ScratchDir scratch("pblpar-test");
+  const fs::path in = scratch.next_path("in");
+  const fs::path out = scratch.next_path("out");
+  write_records(in, records);
+  ExtSortOptions opts;
+  opts.memory_budget_bytes = std::size_t{512} << 10;
+  opts.io_buffer_bytes = std::size_t{16} << 10;
+  opts.threads = 4;
+  const ExtSortReport report = sort_file<std::uint64_t>(in, out, opts);
+  EXPECT_TRUE(report.external);
+  EXPECT_EQ(report.initial_runs, 32);
+  EXPECT_EQ(report.merge_fan_in, 7);
+  EXPECT_EQ(report.merge_passes, 2);  // 32 runs -> 5 -> 1
+  EXPECT_EQ(report.spilled_bytes, 2 * static_cast<std::int64_t>(
+                                          records.size() * sizeof(std::uint64_t)));
+  std::sort(records.begin(), records.end());
+  EXPECT_EQ(read_records(out), records);
 }
 
 TEST_F(OocoreTest, SortFileSurvivesIoChaos) {
