@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -14,6 +15,84 @@
 
 namespace pblpar::cluster {
 
+namespace detail {
+
+/// The master's shuffle as a byte splice. Each map result holds
+/// `reducers` encoded buckets, `[u32 count][count encoded Pairs]` in
+/// partition order; partition p belongs to rank live[p % live.size()].
+/// Returns `size` blobs: each owner's holds, for every partition it owns
+/// in ascending order, u32(total count) followed by that partition's
+/// element bytes from every task, in task order. Element encodings
+/// concatenate, so a blob equals WireCodec<std::vector<Pair>>::write of
+/// the task-order concatenation byte for byte; ranks that own nothing get
+/// an empty blob. One bounds-checked WireCodec::skip walk per result finds
+/// the ranges, so a malformed result throws WireError before any byte
+/// past its end is read, and nothing is decoded or allocated per pair.
+template <class Pair>
+std::vector<mp::Buffer> splice_partitions(
+    const std::vector<mp::Buffer>& results, int reducers,
+    const std::vector<std::int32_t>& live, int size) {
+  struct Range {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  const auto parts = static_cast<std::size_t>(reducers);
+  const auto owner = [&](std::size_t p) {
+    return static_cast<std::size_t>(live[p % live.size()]);
+  };
+
+  // Walk: the element byte range of every (task, partition).
+  std::vector<Range> ranges(results.size() * parts);
+  std::vector<std::uint64_t> counts(parts, 0);
+  std::vector<std::size_t> blob_bytes(static_cast<std::size_t>(size), 0);
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    Reader reader(results[t]);
+    for (std::size_t p = 0; p < parts; ++p) {
+      const std::uint32_t count =
+          WireCodec<std::vector<Pair>>::read_count(reader);
+      Range& range = ranges[t * parts + p];
+      range.begin = reader.pos();
+      for (std::uint32_t i = 0; i < count; ++i) {
+        WireCodec<Pair>::skip(reader);
+      }
+      range.end = reader.pos();
+      counts[p] += count;
+      blob_bytes[owner(p)] += range.end - range.begin;
+    }
+  }
+
+  // Splice: u32 total count, then each task's element bytes.
+  std::vector<mp::Buffer> blobs(static_cast<std::size_t>(size));
+  std::vector<std::byte*> cursors(static_cast<std::size_t>(size), nullptr);
+  for (std::size_t p = 0; p < parts; ++p) {
+    if (counts[p] > UINT32_MAX) {
+      throw WireError("cluster wire: partition count exceeds u32");
+    }
+    blob_bytes[owner(p)] += sizeof(std::uint32_t);
+  }
+  for (std::size_t r = 0; r < blobs.size(); ++r) {
+    if (blob_bytes[r] > 0) {
+      blobs[r] = mp::Buffer::uninitialized(blob_bytes[r]);
+      cursors[r] = blobs[r].mutable_data();
+    }
+  }
+  for (std::size_t p = 0; p < parts; ++p) {
+    std::byte*& cursor = cursors[owner(p)];
+    const auto total = static_cast<std::uint32_t>(counts[p]);
+    std::memcpy(cursor, &total, sizeof(total));
+    cursor += sizeof(total);
+    for (std::size_t t = 0; t < results.size(); ++t) {
+      const Range& range = ranges[t * parts + p];
+      const std::size_t bytes = range.end - range.begin;
+      std::memcpy(cursor, results[t].data() + range.begin, bytes);
+      cursor += bytes;
+    }
+  }
+  return blobs;
+}
+
+}  // namespace detail
+
 /// Distributed MapReduce on the fault-tolerant engine: map tasks are
 /// record ranges scheduled by the master (re-executed on failure,
 /// speculated on stragglers), the shuffle is a partitioned exchange over
@@ -22,7 +101,9 @@ namespace pblpar::cluster {
 ///
 /// SPMD: every rank calls run() with identical inputs (replicated input
 /// model — map tasks read their record range from the local copy, only
-/// intermediate pairs travel). Output is byte-identical to
+/// intermediate pairs travel). The master routes map output as bytes: it
+/// walks each task's encoded buckets and splices them into per-owner
+/// blobs without decoding a pair. Output is byte-identical to
 /// mapreduce::Job with threads(1): the shuffle concatenates map-task
 /// buckets in task order, so each key's value list is in input order,
 /// grouping uses the same core (mapreduce::detail::group_and_apply)
@@ -168,33 +249,14 @@ class DistJob {
     comm.bcast(live, 0);
     util::ensure(!live.empty(), "DistJob::run: no live ranks in the plan");
 
-    // --- Shuffle: master splits every task's buckets by owner,
-    // concatenating in task order so value order == input order. The
-    // per-rank blobs travel as owned Buffers (scatter_raw moves them
-    // onto the wire; no re-encode copy).
+    // --- Shuffle: the master splices every task's partition bytes into
+    // one blob per owner, in task order so value order == input order. It
+    // never decodes a pair (detail::splice_partitions); the blobs travel
+    // as owned Buffers (scatter_raw moves them onto the wire).
     std::vector<mp::Buffer> rank_blobs(static_cast<std::size_t>(size));
     if (engine_result.is_master) {
-      std::vector<std::vector<Bucket>> task_buckets;
-      task_buckets.reserve(engine_result.results.size());
-      for (const mp::Buffer& result : engine_result.results) {
-        task_buckets.push_back(decode_map_result(result, reducers));
-      }
-      std::vector<Writer> writers(static_cast<std::size_t>(size));
-      for (int p = 0; p < reducers; ++p) {
-        const int owner =
-            live[static_cast<std::size_t>(p) % live.size()];
-        Bucket merged;
-        for (const auto& buckets : task_buckets) {
-          const Bucket& bucket = buckets[static_cast<std::size_t>(p)];
-          merged.insert(merged.end(), bucket.begin(), bucket.end());
-        }
-        WireCodec<Bucket>::write(writers[static_cast<std::size_t>(owner)],
-                                 merged);
-      }
-      for (int r = 0; r < size; ++r) {
-        rank_blobs[static_cast<std::size_t>(r)] =
-            writers[static_cast<std::size_t>(r)].take();
-      }
+      rank_blobs = detail::splice_partitions<std::pair<K2, V2>>(
+          engine_result.results, reducers, live, size);
     }
     const mp::Buffer my_blob = comm.scatter_raw(std::move(rank_blobs), 0);
 
@@ -293,17 +355,6 @@ class DistJob {
       WireCodec<Bucket>::write(writer, bucket);
     }
     return writer.take();
-  }
-
-  std::vector<Bucket> decode_map_result(const mp::Buffer& bytes,
-                                        int reducers) const {
-    Reader reader(bytes);
-    std::vector<Bucket> buckets;
-    buckets.reserve(static_cast<std::size_t>(reducers));
-    for (int p = 0; p < reducers; ++p) {
-      buckets.push_back(WireCodec<Bucket>::read(reader));
-    }
-    return buckets;
   }
 
   MapFn map_fn_;

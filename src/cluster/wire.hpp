@@ -82,6 +82,14 @@ class Reader {
     pos_ += size;
   }
 
+  /// Advance past `size` bytes without reading them.
+  void skip(std::size_t size) {
+    if (size > remaining()) {
+      throw WireError("cluster wire: skip ran past the end of the buffer");
+    }
+    pos_ += size;
+  }
+
   template <class T>
   T trivial() {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -138,6 +146,9 @@ class Reader {
 /// Typed field codec over Writer/Reader, so the distributed MapReduce
 /// driver can ship any key/value type the thread-local jobs use:
 /// arithmetic types, std::string, std::pair, and std::vector of those.
+/// `skip` moves the Reader past one encoded value with the same bounds
+/// checks as `read` but without allocating or decoding it, so a caller
+/// can find the byte range of a value and forward it untouched.
 template <class T, class Enable = void>
 struct WireCodec;
 
@@ -147,6 +158,7 @@ struct WireCodec<T, std::enable_if_t<std::is_arithmetic_v<T>>> {
     writer.trivial(value);
   }
   static T read(Reader& reader) { return reader.template trivial<T>(); }
+  static void skip(Reader& reader) { reader.skip(sizeof(T)); }
 };
 
 template <>
@@ -155,6 +167,7 @@ struct WireCodec<std::string> {
     writer.str(value);
   }
   static std::string read(Reader& reader) { return reader.str(); }
+  static void skip(Reader& reader) { reader.skip(reader.u32()); }
 };
 
 template <class A, class B>
@@ -168,6 +181,10 @@ struct WireCodec<std::pair<A, B>> {
     B b = WireCodec<B>::read(reader);
     return {std::move(a), std::move(b)};
   }
+  static void skip(Reader& reader) {
+    WireCodec<A>::skip(reader);
+    WireCodec<B>::skip(reader);
+  }
 };
 
 template <class U>
@@ -179,18 +196,29 @@ struct WireCodec<std::vector<U>> {
     }
   }
   static std::vector<U> read(Reader& reader) {
-    const std::uint32_t count = reader.u32();
-    // Every element encodes to at least one byte, so a count beyond the
-    // remaining bytes is corrupt — reject it before reserving for it.
-    if (count > reader.remaining()) {
-      throw WireError("cluster wire: vector count exceeds the buffer");
-    }
+    const std::uint32_t count = read_count(reader);
     std::vector<U> values;
     values.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       values.push_back(WireCodec<U>::read(reader));
     }
     return values;
+  }
+  static void skip(Reader& reader) {
+    const std::uint32_t count = read_count(reader);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      WireCodec<U>::skip(reader);
+    }
+  }
+  /// The u32 element count, checked against the bytes left: every
+  /// element encodes to at least one byte, so a count beyond the
+  /// remaining bytes is corrupt — reject it before reserving or looping.
+  static std::uint32_t read_count(Reader& reader) {
+    const std::uint32_t count = reader.u32();
+    if (count > reader.remaining()) {
+      throw WireError("cluster wire: vector count exceeds the buffer");
+    }
+    return count;
   }
 };
 

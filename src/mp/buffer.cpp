@@ -21,7 +21,10 @@ struct PoolClass {
 };
 
 PoolClass& pool_class(int index) {
-  static PoolClass classes[kClassCount];
+  // Never destroyed: a Buffer released during static destruction still
+  // finds a live pool, and the cached blocks stay reachable at exit, so
+  // LeakSanitizer does not report them.
+  static PoolClass* const classes = new PoolClass[kClassCount];
   return classes[index];
 }
 

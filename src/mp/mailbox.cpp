@@ -101,12 +101,15 @@ bool Mailbox::queue_nonempty() const {
 }
 
 void Mailbox::drain_to_pending() {
-  for (;;) {
+  // Drain only up to the newest node published when the drain started.
+  // An unbounded drain never returns while senders refill the queue
+  // faster than it empties, and then pop_impl never re-checks abort or
+  // its deadline. Every node up to `last` has already been exchanged in,
+  // so the walk below reaches it.
+  Node* const last = head_.load(std::memory_order_acquire);
+  while (tail_ != last) {
     Node* next = tail_->next.load(std::memory_order_acquire);
     if (next == nullptr) {
-      if (head_.load(std::memory_order_acquire) == tail_) {
-        return;  // fully drained
-      }
       // A sender is between its head_ exchange and its next link — two
       // instructions of its timeline. Yield (it may need our core) and
       // re-read.

@@ -81,7 +81,8 @@ class Mailbox {
 
   bool pop_impl(int source, int tag, double timeout_s, RawMessage* out,
                 bool throw_on_timeout);
-  /// Move every linked node's message into pending_ (consumer only).
+  /// Move the messages pushed before the call into pending_ (consumer
+  /// only); later pushes wait for the next drain.
   void drain_to_pending();
   /// Pop the earliest pending message matching (source, tag).
   bool take_pending(int source, int tag, RawMessage* out);

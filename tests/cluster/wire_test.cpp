@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,6 +97,72 @@ TEST(WireTest, EqualFieldSequencesEncodeToEqualBytes) {
     return writer.take();
   };
   EXPECT_EQ(encode(), encode());
+}
+
+/// Encode `value` followed by a sentinel field, then check that skip
+/// stops exactly where read does (and the sentinel still decodes), and
+/// that every strict prefix of the value's bytes makes both throw.
+template <class T>
+void expect_skip_matches_read(const T& value) {
+  constexpr std::uint32_t kSentinel = 0xC0FFEEu;
+  Writer writer;
+  WireCodec<T>::write(writer, value);
+  writer.u32(kSentinel);
+  const std::vector<std::byte> bytes = writer.take();
+
+  Reader read_reader(bytes);
+  Reader skip_reader(bytes);
+  EXPECT_EQ(WireCodec<T>::read(read_reader), value);
+  WireCodec<T>::skip(skip_reader);
+  EXPECT_EQ(skip_reader.pos(), read_reader.pos());
+  EXPECT_EQ(skip_reader.u32(), kSentinel);
+
+  const std::size_t encoded = read_reader.pos();
+  for (std::size_t cut = 0; cut < encoded; ++cut) {
+    const std::vector<std::byte> prefix(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
+    Reader truncated_read(prefix);
+    Reader truncated_skip(prefix);
+    EXPECT_THROW((void)WireCodec<T>::read(truncated_read), WireError)
+        << "prefix of " << cut << " bytes";
+    EXPECT_THROW(WireCodec<T>::skip(truncated_skip), WireError)
+        << "prefix of " << cut << " bytes";
+  }
+}
+
+TEST(WireTest, SkipStopsWhereReadStopsForEveryCodec) {
+  expect_skip_matches_read<int>(-42);
+  expect_skip_matches_read<long>(1L << 40);
+  expect_skip_matches_read<double>(0.125);
+  expect_skip_matches_read<std::uint32_t>(7u);
+  expect_skip_matches_read<std::string>("");
+  expect_skip_matches_read<std::string>("skip me");
+  expect_skip_matches_read<std::pair<std::string, long>>({"key", 3});
+  expect_skip_matches_read<std::pair<int, std::string>>({9, "line"});
+  expect_skip_matches_read<std::pair<std::string, double>>({"mean", 2.5});
+  expect_skip_matches_read<std::vector<int>>({});
+  expect_skip_matches_read<std::vector<int>>({1, 2, 3});
+  expect_skip_matches_read<std::vector<std::string>>({"a", "", "bc"});
+  expect_skip_matches_read<std::vector<std::pair<std::string, int>>>(
+      {{"x", 1}, {"", 0}, {"yz", -4}});
+  expect_skip_matches_read<
+      std::vector<std::pair<std::string, std::vector<int>>>>(
+      {{"alpha", {1, 2, 3}}, {"", {}}, {"beta", {-7}}});
+}
+
+TEST(WireTest, SkipRejectsInflatedLengthsLikeRead) {
+  // A string length, then a vector count, larger than the bytes left.
+  Writer string_writer;
+  string_writer.u32(1000u);
+  string_writer.str("abc");
+  const std::vector<std::byte> string_bytes = string_writer.take();
+  Reader string_reader(string_bytes);
+  EXPECT_THROW(WireCodec<std::string>::skip(string_reader), WireError);
+
+  const std::vector<std::byte> count_bytes(4, std::byte{0xFF});
+  Reader count_reader(count_bytes);
+  using Pairs = std::vector<std::pair<std::string, long>>;
+  EXPECT_THROW(WireCodec<Pairs>::skip(count_reader), WireError);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The lock-free MPSC mailbox: the timeout-overflow regression (huge and
 // infinite timeouts must block, not return instantly), NaN rejection,
 // poll semantics, per-(source, tag) FIFO order under concurrent senders
-// with wildcard and exact matches interleaved, abort mid-wait, and an
-// exactly-once delivery stress.
+// with wildcard and exact matches interleaved, abort mid-wait (also
+// while senders flood the queue), and an exactly-once delivery stress.
 
 #include "mp/mailbox.hpp"
 
@@ -279,6 +279,56 @@ TEST(MailboxAbortTest, AbortWinsOverConcurrentSenders) {
   for (std::thread& sender : senders) {
     sender.join();
   }
+  EXPECT_TRUE(threw.load(std::memory_order_acquire));
+}
+
+TEST(MailboxAbortTest, AbortEndsAWaitWhileSendersFloodWithoutYielding) {
+  // A drain that runs until the queue is empty never returns while
+  // senders refill it faster than the consumer empties it, so pop would
+  // never re-check abort. These senders never yield and keep pushing
+  // after the abort, as peers that have not noticed it yet would; the
+  // consumer must still unwind within a fixed bound.
+  constexpr auto kBound = std::chrono::seconds(1);
+  AbortState abort;
+  Mailbox box(abort, 60.0, 0);
+  std::atomic<bool> stop{false};
+  std::atomic<bool> unwound{false};
+  std::vector<std::thread> senders;
+  for (int s = 0; s < 2; ++s) {
+    senders.emplace_back([&, s] {
+      int seq = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        box.push(make_message(s, 1, seq++));
+      }
+    });
+  }
+  std::atomic<bool> threw{false};
+  std::thread consumer([&] {
+    try {
+      // Tag 99 never arrives; only the abort can end this wait.
+      box.pop_matching(kAnySource, 99);
+    } catch (const WorldAborted&) {
+      threw.store(true, std::memory_order_release);
+    }
+    unwound.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  abort.aborted.store(true);
+  box.interrupt();
+  const auto aborted_at = std::chrono::steady_clock::now();
+  while (!unwound.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() - aborted_at < kBound) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool within_bound = unwound.load(std::memory_order_acquire);
+  // Stopping the senders lets a consumer stuck in a drain finish it, so
+  // a failure reports instead of hanging.
+  stop.store(true, std::memory_order_relaxed);
+  consumer.join();
+  for (std::thread& sender : senders) {
+    sender.join();
+  }
+  EXPECT_TRUE(within_bound) << "abort took longer than the bound";
   EXPECT_TRUE(threw.load(std::memory_order_acquire));
 }
 
