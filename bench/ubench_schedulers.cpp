@@ -18,16 +18,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <limits>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -40,7 +37,6 @@
 #include "rt/cancel.hpp"
 #include "rt/for_each.hpp"
 #include "rt/parallel.hpp"
-#include "rt/steal_deque.hpp"
 
 namespace {
 
@@ -181,121 +177,6 @@ Samples time_trivial_loop(bool devirtualized, std::int64_t total,
 }
 
 // --- Lock-free core baselines -----------------------------------------
-
-/// The mutex-protected span deque the Chase–Lev implementation replaced:
-/// identical interface, every owner pop and every steal under one lock.
-class LockedSpanDeque {
- public:
-  void install(rt::StealSpan span) {
-    std::lock_guard<std::mutex> guard(mu_);
-    lo_ = span.lo;
-    hi_ = span.hi;
-  }
-
-  bool take(std::int64_t* chunk_index) {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (lo_ >= hi_) {
-      return false;
-    }
-    *chunk_index = lo_++;
-    return true;
-  }
-
-  rt::StealOutcome steal(std::int64_t* chunk_index) {
-    std::lock_guard<std::mutex> guard(mu_);
-    if (lo_ >= hi_) {
-      return rt::StealOutcome::kEmpty;
-    }
-    *chunk_index = --hi_;
-    return rt::StealOutcome::kGot;
-  }
-
- private:
-  std::mutex mu_;
-  std::int64_t lo_ = 0;
-  std::int64_t hi_ = 0;
-};
-
-/// Drain `chunks` chunk indices split across `threads` deques: each
-/// worker empties its own deque, then sweeps the victims round-robin —
-/// the host backend's steal loop, minus the loop body. Both deque types
-/// share the install/take/steal interface, so the drain is templated
-/// and measures only the claim protocol. One sample per repeat (the
-/// check reads the min); exactly-once delivery is verified on every
-/// repeat (a lost or duplicated chunk is a broken deque, not a slow one
-/// — abort loudly).
-template <class Deque>
-Samples time_steal_drain(int threads, std::int64_t chunks, int repeats) {
-  return bench::trials(repeats, [&] {
-    std::vector<std::unique_ptr<Deque>> deques;
-    for (int t = 0; t < threads; ++t) {
-      deques.push_back(std::make_unique<Deque>());
-      deques.back()->install(rt::steal_initial_span(chunks, 1, threads, t));
-    }
-    std::atomic<std::int64_t> claimed{0};
-    // The workers stamp their own start and end; the drain time is
-    // max(end) - min(start). Timing from the launching thread's barrier
-    // arrivals would race the scheduler: on a loaded (or single-core)
-    // host, the workers can finish the whole drain before the launcher
-    // gets another slice, and the "measured" interval collapses to zero.
-    std::atomic<std::int64_t> first_start_ns{
-        std::numeric_limits<std::int64_t>::max()};
-    std::atomic<std::int64_t> last_end_ns{0};
-    std::barrier sync(threads);
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        sync.arrive_and_wait();  // released together
-        const std::int64_t t0 = std::chrono::steady_clock::now()
-                                    .time_since_epoch()
-                                    .count();
-        std::int64_t local = 0;
-        std::int64_t chunk_index = 0;
-        while (deques[static_cast<std::size_t>(t)]->take(&chunk_index)) {
-          ++local;
-        }
-        for (int step = 1; step < threads; ++step) {
-          Deque& victim = *deques[static_cast<std::size_t>((t + step) %
-                                                           threads)];
-          for (;;) {
-            const rt::StealOutcome outcome = victim.steal(&chunk_index);
-            if (outcome == rt::StealOutcome::kEmpty) {
-              break;
-            }
-            if (outcome == rt::StealOutcome::kGot) {
-              ++local;
-            }
-            // kLost: someone else's CAS won; retry the same victim.
-          }
-        }
-        const std::int64_t t1 = std::chrono::steady_clock::now()
-                                    .time_since_epoch()
-                                    .count();
-        std::int64_t seen = first_start_ns.load(std::memory_order_relaxed);
-        while (t0 < seen && !first_start_ns.compare_exchange_weak(
-                                seen, t0, std::memory_order_relaxed)) {
-        }
-        seen = last_end_ns.load(std::memory_order_relaxed);
-        while (t1 > seen && !last_end_ns.compare_exchange_weak(
-                                seen, t1, std::memory_order_relaxed)) {
-        }
-        claimed.fetch_add(local, std::memory_order_relaxed);
-      });
-    }
-    for (std::thread& worker : workers) {
-      worker.join();
-    }
-    if (claimed.load(std::memory_order_relaxed) != chunks) {
-      std::fprintf(stderr,
-                   "steal drain lost chunks: claimed %lld of %lld\n",
-                   static_cast<long long>(claimed.load()),
-                   static_cast<long long>(chunks));
-      std::exit(1);
-    }
-    return static_cast<double>(last_end_ns.load() - first_start_ns.load()) *
-           1e-9;
-  });
-}
 
 /// The mutex+condvar mailbox the lock-free MPSC queue replaced, reduced
 /// to what the ping-pong needs: push with notify_all (the old behaviour)
@@ -538,14 +419,10 @@ int main(int argc, char** argv) {
   bench::put_timing(devirt, "for_each_", inlined.min(), inlined);
   doc.set("devirt", bench::show("devirt", std::move(devirt)));
 
-  // Lock-free core: the Chase–Lev steal drain at t=8 against the
-  // mutex-protected deque it replaced, and the lock-free mailbox round
-  // trip against the locked one. "Not worse" is the bar — the rewrite
-  // exists to remove lock convoys, so regressing past the margin means
-  // something is wrong with the claim protocol or the parking path.
-  const int steal_threads = 8;
-  const std::int64_t steal_chunks = smoke ? (1 << 12) : (1 << 16);
-  const int steal_repeats = smoke ? 4 : 9;
+  // Lock-free core: the lock-free mailbox round trip against the locked
+  // one. "Not worse" is the bar — the rewrite exists to remove lock
+  // convoys, so regressing past the margin means something is wrong with
+  // the parking path.
   const int round_trips = smoke ? 256 : 4096;
   const int rtt_repeats = smoke ? 3 : 9;
   // Up to three measurement attempts, pooling every attempt's trials so
@@ -554,31 +431,20 @@ int main(int argc, char** argv) {
   // one side of a comparison can get starved for a whole attempt, and a
   // guard verdict from a single attempt would flake. A genuine convoy
   // regression reproduces on every attempt.
-  Samples chaselev;
-  Samples locked_deque;
   Samples lockfree_rtt;
   Samples locked_rtt;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    chaselev.append(time_steal_drain<rt::ChaseLevSpan>(
-        steal_threads, steal_chunks, steal_repeats));
-    locked_deque.append(time_steal_drain<LockedSpanDeque>(
-        steal_threads, steal_chunks, steal_repeats));
     lockfree_rtt.append(time_mailbox_rtt_lockfree(round_trips, rtt_repeats));
     locked_rtt.append(time_mailbox_rtt_locked(round_trips, rtt_repeats));
-    if (chaselev.min() <= 2.0 * locked_deque.min() &&
-        lockfree_rtt.min() <= 2.0 * locked_rtt.min()) {
+    if (lockfree_rtt.min() <= 2.0 * locked_rtt.min()) {
       break;
     }
   }
-  bench::Json steal = bench::Json::object({{"chunks", steal_chunks}});
-  bench::put_timing(steal, "chaselev_", chaselev.min(), chaselev);
-  bench::put_timing(steal, "mutex_", locked_deque.min(), locked_deque);
   bench::Json rtt = bench::Json::object({{"round_trips", round_trips}});
   bench::put_timing(rtt, "lockfree_", lockfree_rtt.min(), lockfree_rtt);
   bench::put_timing(rtt, "locked_", locked_rtt.min(), locked_rtt);
   doc.set("lockfree", bench::Json::object(
-                          {{"steal_t8", bench::show("steal_t8", steal)},
-                           {"mailbox_rtt", bench::show("mailbox_rtt", rtt)}}));
+                          {{"mailbox_rtt", bench::show("mailbox_rtt", rtt)}}));
 
   // Acceptance probes: does steal beat dynamic,1 on the skewed loop at
   // every measured thread count >= 4 (host real time and sim virtual
@@ -637,10 +503,8 @@ int main(int argc, char** argv) {
   // rest of the loop).
   checks.add("cancel_drain_within_100x_pool_launch",
              pool_launch_s > 0.0 && pool_cancel_s <= 100.0 * pool_launch_s);
-  // The committed lock-free booleans use a 1.25x margin: lock-free must
+  // The committed lock-free boolean uses a 1.25x margin: lock-free must
   // sit at or below the locked baseline, give or take scheduler noise.
-  checks.add("chaselev_steal_not_worse_than_mutex_t8",
-             chaselev.min() <= 1.25 * locked_deque.min());
   checks.add("mailbox_rtt_not_worse_than_locked",
              lockfree_rtt.min() <= 1.25 * locked_rtt.min());
   checks.print();
@@ -654,8 +518,7 @@ int main(int argc, char** argv) {
   // 2x guard band: wide enough that scheduler noise on a loaded (or
   // single-core) box does not flake the tier-1 suite, tight enough to
   // catch a lock-free path that degenerated into a convoy.
-  if (chaselev.min() > 2.0 * locked_deque.min() ||
-      lockfree_rtt.min() > 2.0 * locked_rtt.min()) {
+  if (lockfree_rtt.min() > 2.0 * locked_rtt.min()) {
     std::fprintf(stderr, "lock-free guard band exceeded\n");
     return 1;
   }

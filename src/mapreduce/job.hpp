@@ -447,7 +447,7 @@ class Job {
     }
     rt::RunResult reduced_result = rt::parallel(reduce_config, [&](
                                                     rt::TeamContext& tc) {
-      rt::for_loop(
+      rt::for_each(
           tc, rt::Range::upto(reducers), rt::Schedule::dynamic(1),
           [&](std::int64_t p) {
             partition_outputs[static_cast<std::size_t>(p)] =

@@ -4,6 +4,7 @@
 
 #include "race/detector.hpp"
 #include "race/shared.hpp"
+#include "rt/for_each.hpp"
 #include "sim/machine.hpp"
 #include "util/error.hpp"
 
@@ -110,7 +111,7 @@ LoopAssignment run_loop(const rt::ParallelConfig& config,
                         const rt::CostModel& cost) {
   LoopAssignment assignment;
   assignment.run = rt::parallel(config, [&](rt::TeamContext& tc) {
-    rt::for_loop(
+    rt::for_each(
         tc, rt::Range::upto(iterations), schedule,
         [&](std::int64_t i) {
           tc.critical(

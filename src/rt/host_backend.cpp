@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "rt/cancel.hpp"
-#include "rt/steal_deque.hpp"
 #include "rt/trace.hpp"
 #include "util/error.hpp"
 
@@ -101,26 +100,29 @@ void AbortableBarrier::reset(int parties) {
 namespace {
 
 /// Worksharing bookkeeping shared by all members of a host team.
-/// Loop counters and single-arrival flags are preallocated so claims are
-/// lock-free; 256 worksharing constructs per region is far beyond any of
-/// the course workloads.
+/// Loop counters and single-arrival flags are preallocated so counter
+/// claims are lock-free; 256 worksharing constructs per region is far
+/// beyond any of the course workloads.
 constexpr int kMaxWorksharing = 256;
 
-/// One thread's steal deque: its remaining chunk-index span per loop as a
-/// lock-free Chase–Lev deque (see rt/steal_deque.hpp). Deques default to
-/// empty, so a thief that scans one before its owner reached
-/// steal_install simply moves on — the owner still drains everything it
-/// later installs. `chunks` caches the loop's chunk size, hoisted once in
-/// steal_install so the claim fast path never repeats the division; it is
+/// One thread's steal deque: its remaining chunk-index span per loop,
+/// guarded by one mutex per thread — the Sim backend's claim model
+/// (steal_mutexes[tid]), with the owner and every thief claiming through
+/// StealSpan::take and StealSpan::steal. Spans default to empty, so a
+/// thief that scans one before its owner reached steal_install simply
+/// moves on — the owner still drains everything it later installs.
+/// `chunks` caches the loop's chunk size, hoisted once in steal_install
+/// so the claim fast path never repeats the division; it is
 /// owner-written before the owner's first claim and owner-read only.
-/// Cache-line aligned: the owner hammers its own deque on every local
-/// pop, and with the deques living for the whole process (the team is
-/// reused across regions) two owners sharing a line would pay false
-/// sharing on every chunk, not just within one region.
+/// Cache-line aligned: the owner locks its own deque on every local pop,
+/// and with the deques living for the whole process (the team is reused
+/// across regions) two owners sharing a line would pay false sharing on
+/// every chunk, not just within one region.
 struct alignas(kCacheLineBytes) StealDeque {
-  std::array<ChaseLevSpan, kMaxWorksharing> spans;
+  std::mutex mu;  // guards spans
+  std::array<StealSpan, kMaxWorksharing> spans;
   std::array<std::int64_t, kMaxWorksharing> chunks{};
-  /// Deques [0, dirty) may be stale from an earlier region; freshly built
+  /// Spans [0, dirty) may be stale from an earlier region; freshly built
   /// deques start clean. Guarded by the team reset protocol.
   int dirty = 0;
 };
@@ -182,12 +184,12 @@ struct HostTeam {
       if (deque.dirty == 0) {
         continue;
       }
-      // Plain relaxed clears: the deque is quiescent (every member of the
-      // previous region has exited, observed by the pool before reset),
-      // and the pool's generation handoff publishes these stores to the
-      // next region's members before any of them runs.
+      // Plain stores without the lock: the deque is quiescent (every
+      // member of the previous region has exited, observed by the pool
+      // before reset), and the pool's generation handoff publishes these
+      // stores to the next region's members before any of them runs.
       for (int id = 0; id < deque.dirty; ++id) {
-        deque.spans[static_cast<std::size_t>(id)].clear();
+        deque.spans[static_cast<std::size_t>(id)] = StealSpan{};
       }
       deque.dirty = 0;
     }
@@ -349,8 +351,10 @@ class HostTeamContext final : public TeamContext {
     // a pure function of (schedule, total, num_threads), identical on
     // every member, so each owner's cache agrees with every thief's.
     mine.chunks[static_cast<std::size_t>(loop_id)] = chunk;
-    mine.spans[static_cast<std::size_t>(loop_id)].install(
-        steal_initial_span(total, chunk, team_->num_threads, tid_));
+    const StealSpan span =
+        steal_initial_span(total, chunk, team_->num_threads, tid_);
+    std::lock_guard guard(mine.mu);
+    mine.spans[static_cast<std::size_t>(loop_id)] = span;
   }
 
   StealClaim steal_next(int loop_id, std::int64_t total,
@@ -365,30 +369,24 @@ class HostTeamContext final : public TeamContext {
     assert(chunk == steal_chunk_size(schedule, total, team_->num_threads));
     (void)schedule;
     // Own deque first: pop the lowest chunk index, an ascending walk of
-    // our block (the LIFO end relative to how the block was dealt). The
-    // owner-side take is wait-free except when racing a thief for the
-    // very last element.
+    // our block (the LIFO end relative to how the block was dealt).
     std::int64_t chunk_index = 0;
-    if (mine.spans[static_cast<std::size_t>(loop_id)].take(&chunk_index)) {
-      return steal_claim_for(chunk_index, chunk, total, tid_);
+    {
+      std::lock_guard guard(mine.mu);
+      if (mine.spans[static_cast<std::size_t>(loop_id)].take(&chunk_index)) {
+        return steal_claim_for(chunk_index, chunk, total, tid_);
+      }
     }
     // Then scan peers round-robin starting at our right-hand neighbour,
     // stealing from the FIFO end — the chunk the victim would reach last.
-    // A lost CAS means some other claimant took a chunk from this victim;
-    // retry the same deque, since it may still hold more.
     for (int k = 1; k < team_->num_threads; ++k) {
       const int victim = (tid_ + k) % team_->num_threads;
-      ChaseLevSpan& theirs =
-          team_->steal_deques[static_cast<std::size_t>(victim)]
-              ->spans[static_cast<std::size_t>(loop_id)];
-      for (;;) {
-        const StealOutcome outcome = theirs.steal(&chunk_index);
-        if (outcome == StealOutcome::kGot) {
-          return steal_claim_for(chunk_index, chunk, total, victim);
-        }
-        if (outcome == StealOutcome::kEmpty) {
-          break;
-        }
+      StealDeque& theirs =
+          *team_->steal_deques[static_cast<std::size_t>(victim)];
+      std::lock_guard guard(theirs.mu);
+      if (theirs.spans[static_cast<std::size_t>(loop_id)].steal(
+              &chunk_index)) {
+        return steal_claim_for(chunk_index, chunk, total, victim);
       }
     }
     return StealClaim{total, 0, tid_};

@@ -36,12 +36,31 @@ std::int64_t steal_chunk_size(const Schedule& schedule, std::int64_t total,
 
 /// Remaining contiguous block of chunk indices in one thread's steal
 /// deque: [lo, hi). The owner pops from lo (ascending walk of its block);
-/// thieves take from hi.
+/// thieves take from hi. Not synchronized: both backends call take and
+/// steal under the owning thread's steal mutex.
 struct StealSpan {
   std::int64_t lo = 0;
   std::int64_t hi = 0;
 
   bool empty() const { return lo >= hi; }
+
+  /// Owner-side claim of the lowest remaining chunk index.
+  bool take(std::int64_t* chunk_index) {
+    if (empty()) {
+      return false;
+    }
+    *chunk_index = lo++;
+    return true;
+  }
+
+  /// Thief-side claim of the highest remaining chunk index.
+  bool steal(std::int64_t* chunk_index) {
+    if (empty()) {
+      return false;
+    }
+    *chunk_index = --hi;
+    return true;
+  }
 };
 
 /// The block of chunk indices initially dealt to `tid` when `total`

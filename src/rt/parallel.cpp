@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "rt/for_each.hpp"
 #include "rt/host_backend.hpp"
 #include "rt/sim_backend.hpp"
 #include "util/error.hpp"
@@ -36,8 +37,9 @@ RunResult parallel_for(const ParallelConfig& config, Range range,
                        Schedule schedule,
                        const std::function<void(std::int64_t)>& body,
                        const CostModel& cost) {
+  util::require(body != nullptr, "parallel_for: body must be callable");
   return parallel(config, [&](TeamContext& tc) {
-    for_loop(tc, range, schedule, body, cost);
+    for_each(tc, range, schedule, body, cost);
   });
 }
 

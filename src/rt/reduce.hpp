@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "rt/for_each.hpp"
 #include "rt/parallel.hpp"
 #include "util/error.hpp"
 
@@ -55,7 +56,7 @@ void reduce_loop(TeamContext& tc, Range range, Schedule schedule, T& result,
     // offer, so "no iterations ran here" is simply an empty partial.
     std::optional<T> local;
     try {
-      for_loop(
+      for_each(
           tc, range, schedule,
           [&](std::int64_t i) {
             if (local.has_value()) {
@@ -79,7 +80,7 @@ void reduce_loop(TeamContext& tc, Range range, Schedule schedule, T& result,
     }
     tc.barrier();
   } else {
-    for_loop(
+    for_each(
         tc, range, schedule,
         [&](std::int64_t i) {
           const T term = map(i);

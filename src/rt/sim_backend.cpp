@@ -162,11 +162,10 @@ class SimTeamContext final : public TeamContext {
           *ctx_, team_->steal_mutexes[static_cast<std::size_t>(tid_)]);
       ctx_->compute_us(0.25 * ctx_->spec().sched_chunk_cost_us);
       auto& spans = team_->steal_spans[static_cast<std::size_t>(tid_)];
-      if (spans.size() > static_cast<std::size_t>(loop_id)) {
-        StealSpan& span = spans[static_cast<std::size_t>(loop_id)];
-        if (!span.empty()) {
-          return steal_claim_for(span.lo++, chunk, total, tid_);
-        }
+      std::int64_t chunk_index = 0;
+      if (spans.size() > static_cast<std::size_t>(loop_id) &&
+          spans[static_cast<std::size_t>(loop_id)].take(&chunk_index)) {
+        return steal_claim_for(chunk_index, chunk, total, tid_);
       }
     }
     // Probe peers round-robin; a remote probe pays the full claim cost
@@ -178,11 +177,10 @@ class SimTeamContext final : public TeamContext {
           *ctx_, team_->steal_mutexes[static_cast<std::size_t>(victim)]);
       ctx_->compute_us(ctx_->spec().sched_chunk_cost_us);
       auto& spans = team_->steal_spans[static_cast<std::size_t>(victim)];
-      if (spans.size() > static_cast<std::size_t>(loop_id)) {
-        StealSpan& span = spans[static_cast<std::size_t>(loop_id)];
-        if (!span.empty()) {
-          return steal_claim_for(--span.hi, chunk, total, victim);
-        }
+      std::int64_t chunk_index = 0;
+      if (spans.size() > static_cast<std::size_t>(loop_id) &&
+          spans[static_cast<std::size_t>(loop_id)].steal(&chunk_index)) {
+        return steal_claim_for(chunk_index, chunk, total, victim);
       }
     }
     return StealClaim{total, 0, tid_};

@@ -1,12 +1,11 @@
-// The lock-free core: the Chase–Lev span deque (owner/thief last-element
-// race, exactly-once drains under contention), the hand-made RwLock
-// (mutual exclusion, shared readers), and the wait-free live-snapshot
-// path (RegionObserver sampling a running host region).
+// The lock-free core: the hand-made RwLock (mutual exclusion, shared
+// readers) and the wait-free live-snapshot path (RegionObserver sampling
+// a running host region). Work-stealing claims are mutex-guarded and
+// tested in steal_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <barrier>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -16,156 +15,10 @@
 #include "rt/loops.hpp"
 #include "rt/parallel.hpp"
 #include "rt/rwlock.hpp"
-#include "rt/steal_deque.hpp"
 #include "rt/trace.hpp"
 
 namespace pblpar::rt {
 namespace {
-
-// --- ChaseLevSpan, single-threaded ------------------------------------
-
-TEST(ChaseLevSpanTest, OwnerDrainsItsSpanInAscendingOrder) {
-  ChaseLevSpan deque;
-  deque.install(StealSpan{3, 7});
-  std::int64_t chunk_index = 0;
-  for (std::int64_t expected = 3; expected < 7; ++expected) {
-    ASSERT_TRUE(deque.take(&chunk_index));
-    EXPECT_EQ(chunk_index, expected);
-  }
-  EXPECT_FALSE(deque.take(&chunk_index));
-  EXPECT_FALSE(deque.take(&chunk_index));  // stays empty, lo restored
-}
-
-TEST(ChaseLevSpanTest, ThievesTakeFromTheTopAndReportEmpty) {
-  ChaseLevSpan deque;
-  deque.install(StealSpan{0, 3});
-  std::int64_t chunk_index = 0;
-  EXPECT_EQ(deque.steal(&chunk_index), StealOutcome::kGot);
-  EXPECT_EQ(chunk_index, 2);
-  EXPECT_EQ(deque.steal(&chunk_index), StealOutcome::kGot);
-  EXPECT_EQ(chunk_index, 1);
-  EXPECT_EQ(deque.steal(&chunk_index), StealOutcome::kGot);
-  EXPECT_EQ(chunk_index, 0);
-  EXPECT_EQ(deque.steal(&chunk_index), StealOutcome::kEmpty);
-}
-
-TEST(ChaseLevSpanTest, ClearEmptiesAndReinstallRearms) {
-  ChaseLevSpan deque;
-  deque.install(StealSpan{0, 5});
-  deque.clear();
-  std::int64_t chunk_index = 0;
-  EXPECT_FALSE(deque.take(&chunk_index));
-  EXPECT_EQ(deque.steal(&chunk_index), StealOutcome::kEmpty);
-  deque.install(StealSpan{10, 12});
-  ASSERT_TRUE(deque.take(&chunk_index));
-  EXPECT_EQ(chunk_index, 10);
-}
-
-// --- ChaseLevSpan, the last-element race ------------------------------
-
-/// One owner and two thieves fight over a deque holding exactly one
-/// element, round after round: every round exactly one of them may win
-/// it, never zero, never two. This is the race the algorithm's single
-/// seq_cst fence exists for.
-TEST(ChaseLevSpanRaceTest, LastElementIsClaimedExactlyOnce) {
-  constexpr int kRounds = 2000;
-  constexpr int kThieves = 2;
-  ChaseLevSpan deque;
-  std::atomic<int> claims{0};
-  // All parties re-arm at the top of each round; the owner refills the
-  // deque between the two barrier phases, while everyone is quiescent.
-  std::barrier sync(1 + kThieves);
-
-  std::thread owner([&] {
-    for (int round = 0; round < kRounds; ++round) {
-      deque.install(StealSpan{round, round + 1});
-      sync.arrive_and_wait();  // release the round
-      std::int64_t chunk_index = 0;
-      if (deque.take(&chunk_index)) {
-        EXPECT_EQ(chunk_index, round);
-        claims.fetch_add(1, std::memory_order_relaxed);
-      }
-      sync.arrive_and_wait();  // everyone done claiming
-      // EXPECT (not ASSERT): an early return here would strand the
-      // thieves at the barrier and turn a failure into a hang.
-      EXPECT_EQ(claims.load(std::memory_order_relaxed), 1)
-          << "round " << round;
-      claims.store(0, std::memory_order_relaxed);
-    }
-  });
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      for (int round = 0; round < kRounds; ++round) {
-        sync.arrive_and_wait();
-        std::int64_t chunk_index = 0;
-        for (;;) {
-          const StealOutcome outcome = deque.steal(&chunk_index);
-          if (outcome == StealOutcome::kGot) {
-            EXPECT_EQ(chunk_index, round);
-            claims.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-          if (outcome == StealOutcome::kEmpty) {
-            break;
-          }
-        }
-        sync.arrive_and_wait();
-      }
-    });
-  }
-  owner.join();
-  for (std::thread& thief : thieves) {
-    thief.join();
-  }
-}
-
-/// A full span drained by the owner and three thieves concurrently:
-/// every chunk index claimed exactly once, none lost.
-TEST(ChaseLevSpanRaceTest, ConcurrentDrainClaimsEveryChunkExactlyOnce) {
-  constexpr std::int64_t kTotal = 5000;
-  constexpr int kThieves = 3;
-  ChaseLevSpan deque;
-  deque.install(StealSpan{0, kTotal});
-  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kTotal));
-  for (auto& hit : hits) {
-    hit.store(0, std::memory_order_relaxed);
-  }
-  std::barrier start(1 + kThieves);
-
-  std::thread owner([&] {
-    start.arrive_and_wait();
-    std::int64_t chunk_index = 0;
-    while (deque.take(&chunk_index)) {
-      hits[static_cast<std::size_t>(chunk_index)].fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  });
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      start.arrive_and_wait();
-      std::int64_t chunk_index = 0;
-      for (;;) {
-        const StealOutcome outcome = deque.steal(&chunk_index);
-        if (outcome == StealOutcome::kEmpty) {
-          break;
-        }
-        if (outcome == StealOutcome::kGot) {
-          hits[static_cast<std::size_t>(chunk_index)].fetch_add(
-              1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  owner.join();
-  for (std::thread& thief : thieves) {
-    thief.join();
-  }
-  for (std::int64_t i = 0; i < kTotal; ++i) {
-    ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "chunk " << i;
-  }
-}
 
 // --- RwLock -----------------------------------------------------------
 

@@ -68,6 +68,39 @@ TEST(StealSpanTest, OutOfRangeChunkIndexIsRejected) {
   EXPECT_THROW(steal_claim_for(13, 8, 100, 0), util::PreconditionError);
 }
 
+TEST(StealSpanTest, OwnerTakesItsSpanInAscendingOrder) {
+  StealSpan span{3, 7};
+  std::int64_t chunk_index = 0;
+  for (std::int64_t expected = 3; expected < 7; ++expected) {
+    ASSERT_TRUE(span.take(&chunk_index));
+    EXPECT_EQ(chunk_index, expected);
+  }
+  EXPECT_FALSE(span.take(&chunk_index));
+  EXPECT_FALSE(span.take(&chunk_index));  // stays empty
+}
+
+TEST(StealSpanTest, ThievesStealFromTheTopAndReportEmpty) {
+  StealSpan span{0, 3};
+  std::int64_t chunk_index = 0;
+  for (std::int64_t expected = 2; expected >= 0; --expected) {
+    ASSERT_TRUE(span.steal(&chunk_index));
+    EXPECT_EQ(chunk_index, expected);
+  }
+  EXPECT_FALSE(span.steal(&chunk_index));
+  EXPECT_TRUE(span.empty());
+}
+
+TEST(StealSpanTest, ClearEmptiesAndReinstallRearms) {
+  StealSpan span{0, 5};
+  span = StealSpan{};
+  std::int64_t chunk_index = 0;
+  EXPECT_FALSE(span.take(&chunk_index));
+  EXPECT_FALSE(span.steal(&chunk_index));
+  span = StealSpan{10, 12};
+  ASSERT_TRUE(span.take(&chunk_index));
+  EXPECT_EQ(chunk_index, 10);
+}
+
 // --- Exactly-once execution -------------------------------------------
 
 /// Every iteration of a steal loop must run exactly once, whatever the
@@ -95,6 +128,9 @@ TEST(StealHostTest, EveryIterationRunsExactlyOnce) {
     expect_exactly_once_host(threads, 1000, Schedule::steal());
     expect_exactly_once_host(threads, 1000, Schedule::steal(7));
   }
+  // One-iteration chunks maximise claims per thread, so owners and
+  // thieves contend on every span.
+  expect_exactly_once_host(8, 5000, Schedule::steal(1));
 }
 
 TEST(StealHostTest, EdgeShapes) {
