@@ -94,10 +94,12 @@ struct ExtSortReport {
 };
 
 /// How the merge passes use the budget: the k-way fan-in, and how many
-/// groups may merge at once. Every merging group holds one block per
-/// input run plus one output block, and a derived plan keeps all of them
-/// inside the budget: concurrency * (fan_in + 1) * io_buffer_bytes <=
-/// memory_budget_bytes.
+/// merge tasks (whole groups, or key-range slices of one) may run at
+/// once. Every task holds one block per input run plus one output block,
+/// and a derived plan keeps all of them inside the budget:
+/// concurrency * (fan_in + 1) * io_buffer_bytes <= memory_budget_bytes.
+/// A slice's splitter probes read through a bare stdio handle and hold
+/// no block.
 struct MergePlan {
   int fan_in = 2;
   int concurrency = 1;
@@ -130,15 +132,44 @@ inline MergePlan plan_merge(const ExtSortOptions& opts, int threads) {
 namespace detail {
 
 /// Cooperative cancellation inside a long merge drain: the loop polls the
-/// token between records (chunk claims only poll between groups, and a
-/// final merge is one group). Throwing rt::Cancelled out of the body
-/// rides the backend's error path: the team aborts, peers drain, the
-/// caller sees rt::Cancelled — and the ScratchDir guard unlinks every
-/// half-written run on unwind.
+/// token between records (chunk claims only poll between tasks, and one
+/// task merges a whole group or a key-range slice of one). Throwing
+/// rt::Cancelled out of the body rides the backend's error path: the
+/// team aborts, peers drain, the caller sees rt::Cancelled — and the
+/// ScratchDir guard unlinks every half-written run on unwind.
 inline void poll_merge_cancel(const rt::CancelToken& token) {
   if (token.valid() && token.cancel_requested()) {
     throw rt::Cancelled(rt::CancelCause::Token, {});
   }
+}
+
+/// Record `index` of a packed run: a positioned single-record read on a
+/// probe handle, which holds a stdio stream and no merge block.
+template <class T>
+T read_record_at(RawFile& probe, std::int64_t index) {
+  T record{};
+  probe.seek(static_cast<std::uint64_t>(index) * sizeof(T));
+  if (probe.read(&record, sizeof(T)) != sizeof(T)) {
+    throw IoError("sort_file: run truncated under a splitter probe");
+  }
+  return record;
+}
+
+/// First index in [lo, hi) of a sorted packed run whose record is not
+/// less than `key` (hi when there is none), by binary search on probes.
+template <class T, class Less>
+std::int64_t lower_bound_in_run(RawFile& probe, std::int64_t lo,
+                                std::int64_t hi, const T& key,
+                                const Less& less) {
+  while (lo < hi) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    if (less(read_record_at<T>(probe, mid), key)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 }  // namespace detail
@@ -154,7 +185,13 @@ inline void poll_merge_cancel(const rt::CancelToken& token) {
 /// SpillReader block (freshly written runs are page-cached, and the
 /// kernel's sequential readahead covers cold ones); when the budget
 /// cannot hold every run's block at once, intermediate passes cut the
-/// run count by the fan-in until one pass writes `output`.
+/// run count by the fan-in until one pass writes `output`. A pass with
+/// fewer groups than MergePlan::concurrency (the final pass, unless the
+/// budget holds one task at a time) cuts each group into key ranges at
+/// sampled splitters, as PSRS does: every slice merges its window of
+/// every run into its own byte window of the output, so the final merge
+/// runs on every merge thread and still writes the bytes of one
+/// single-threaded merge.
 ///
 /// Peak memory stays O(memory_budget_bytes) regardless of file size; the
 /// scratch disk high-water mark is at most ~2x the input (live runs plus
@@ -276,51 +313,122 @@ ExtSortReport sort_file(const std::filesystem::path& input,
   report.merge_fan_in = fan_in;
   rt::ParallelConfig merge_config = config;
   merge_config.num_threads = plan.concurrency;
+  const auto fan = static_cast<std::size_t>(fan_in);
+  const auto concurrency = static_cast<std::size_t>(plan.concurrency);
+
+  // IoChaos salts are a pure function of (pass, role, run or group,
+  // slice), so a chaos plan replays whichever thread runs which task.
+  constexpr std::uint64_t kReadSalt = 0;
+  constexpr std::uint64_t kSampleSalt = 200'000;
+  constexpr std::uint64_t kProbeSalt = 300'000;
+  constexpr std::uint64_t kWriteSalt = 500'000;
+  std::uint64_t merge_salt = 1'000'000;
+  const auto salt = [&](std::uint64_t role, std::size_t index,
+                        std::size_t slice) {
+    return merge_salt + role + index + (std::uint64_t{slice} << 32);
+  };
 
   std::vector<fs::path> current = std::move(runs);
-  std::uint64_t merge_salt = 1'000'000;
   while (current.size() > 1) {
     ++report.merge_passes;
-    const bool final_pass = current.size() <= static_cast<std::size_t>(fan_in);
-    const std::size_t groups =
-        (current.size() + static_cast<std::size_t>(fan_in) - 1) /
-        static_cast<std::size_t>(fan_in);
+    const bool final_pass = current.size() <= fan;
+    const std::size_t groups = (current.size() + fan - 1) / fan;
+    // A pass with fewer groups than the team cuts every group into
+    // key-range slices, so each merging thread has one (the final pass
+    // is one group). Slice s of group g merges the records of each run
+    // at or above splitters[g][s-1] and below splitters[g][s].
+    const std::size_t slices =
+        groups < concurrency ? (concurrency + groups - 1) / groups : 1;
+    std::vector<std::int64_t> lengths(current.size());  // records per run
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      lengths[i] = static_cast<std::int64_t>(fs::file_size(current[i]) /
+                                             sizeof(T));
+    }
     std::vector<fs::path> next(groups);
+    std::vector<std::vector<T>> splitters(groups);
     for (std::size_t g = 0; g < groups; ++g) {
       next[g] = final_pass ? output : scratch->next_path("merge");
+      if (slices == 1) {
+        continue;
+      }
+      // Splitters are quantiles of evenly spaced samples from every run
+      // of the group (each run holds at least one record). The slices
+      // write disjoint windows of one pre-sized output file.
+      std::vector<T> sample;
+      std::uint64_t group_bytes = 0;
+      for (std::size_t i = g * fan; i < std::min((g + 1) * fan, current.size());
+           ++i) {
+        group_bytes += static_cast<std::uint64_t>(lengths[i]) * sizeof(T);
+        const std::int64_t picks = std::min<std::int64_t>(
+            8 * static_cast<std::int64_t>(slices), lengths[i]);
+        RawFile probe(current[i], RawFile::Mode::Read, opts.chaos,
+                      salt(kSampleSalt, i, 0));
+        for (std::int64_t j = 0; j < picks; ++j) {
+          sample.push_back(
+              detail::read_record_at<T>(probe, j * lengths[i] / picks));
+        }
+      }
+      std::sort(sample.begin(), sample.end(), less);
+      for (std::size_t s = 1; s < slices; ++s) {
+        splitters[g].push_back(sample[s * sample.size() / slices]);
+      }
+      RawFile(next[g], RawFile::Mode::Write, {}, 0).close();
+      fs::resize_file(next[g], group_bytes);
     }
 
     rt::RunResult merged = rt::parallel(merge_config, [&](rt::TeamContext& tc) {
       rt::for_each(
-          tc, rt::Range::upto(static_cast<std::int64_t>(groups)),
-          rt::Schedule::dynamic(1), [&](std::int64_t g) {
-            const std::size_t first =
-                static_cast<std::size_t>(g) * static_cast<std::size_t>(fan_in);
-            const std::size_t last =
-                std::min(first + static_cast<std::size_t>(fan_in),
-                         current.size());
+          tc, rt::Range::upto(static_cast<std::int64_t>(groups * slices)),
+          rt::Schedule::dynamic(1), [&](std::int64_t task) {
+            const std::size_t g = static_cast<std::size_t>(task) / slices;
+            const std::size_t s = static_cast<std::size_t>(task) % slices;
+            const std::size_t first = g * fan;
+            const std::size_t last = std::min(first + fan, current.size());
             const double start_s = tc.trace_now();
 
+            // Each run's window [lo, hi) in records. lower_bound puts
+            // every record equal to a splitter into the slice above it,
+            // in every run, and the loser tree breaks ties by run index
+            // within a slice, so the slices together write exactly the
+            // bytes of one unsliced merge.
             using Source = RunReader<T>;
             std::vector<std::unique_ptr<SpillReader>> files;
             std::vector<std::unique_ptr<Source>> sources;
             std::vector<Source*> source_ptrs;
             std::int64_t in_bytes = 0;
+            std::uint64_t out_offset = 0;
             for (std::size_t i = first; i < last; ++i) {
-              in_bytes += static_cast<std::int64_t>(
-                  fs::file_size(current[i]));
+              std::int64_t lo = 0;
+              std::int64_t hi = lengths[i];
+              if (slices > 1) {
+                RawFile probe(current[i], RawFile::Mode::Read, opts.chaos,
+                              salt(kProbeSalt, i, s));
+                if (s > 0) {
+                  lo = detail::lower_bound_in_run<T>(
+                      probe, 0, hi, splitters[g][s - 1], less);
+                }
+                if (s + 1 < slices) {
+                  hi = detail::lower_bound_in_run<T>(probe, lo, hi,
+                                                     splitters[g][s], less);
+                }
+              }
+              const auto begin = static_cast<std::uint64_t>(lo) * sizeof(T);
+              const auto window =
+                  static_cast<std::uint64_t>(hi - lo) * sizeof(T);
+              in_bytes += static_cast<std::int64_t>(window);
+              out_offset += begin;
               files.push_back(std::make_unique<SpillReader>(
                   current[i], opts.io_buffer_bytes, opts.chaos,
-                  merge_salt + i));
+                  salt(kReadSalt, i, s), begin, window));
               sources.push_back(std::make_unique<Source>(*files.back()));
               source_ptrs.push_back(sources.back().get());
             }
             LoserTree<T, Source, Less> tree(std::move(source_ptrs), less);
 
-            SpillWriter out(next[static_cast<std::size_t>(g)],
-                            opts.io_buffer_bytes, opts.chaos,
-                            merge_salt + 500'000 +
-                                static_cast<std::uint64_t>(g));
+            SpillWriter out(next[g], opts.io_buffer_bytes, opts.chaos,
+                            salt(kWriteSalt, g, s),
+                            slices > 1 ? std::optional(out_offset)
+                                       : std::nullopt);
             T record;
             std::int64_t produced = 0;
             while (tree.pop(&record)) {

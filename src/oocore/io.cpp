@@ -37,8 +37,10 @@ RawFile::RawFile(const std::filesystem::path& path, Mode mode,
       chaos_writes_(chaos.short_write_probability > 0.0),
       rng_(chaos_stream_seed(chaos.seed, salt)) {
   chaos_.validate();
-  file_ = std::fopen(path.string().c_str(),
-                     mode == Mode::Read ? "rb" : "wb");
+  const char* flags = mode == Mode::Read    ? "rb"
+                      : mode == Mode::Write ? "wb"
+                                            : "r+b";
+  file_ = std::fopen(path.string().c_str(), flags);
   if (file_ == nullptr) {
     throw IoError("oocore: cannot open " + path.string() +
                   (mode == Mode::Read ? " for reading" : " for writing"));
@@ -124,10 +126,16 @@ void RawFile::close() {
 
 SpillWriter::SpillWriter(const std::filesystem::path& path,
                          std::size_t buffer_bytes, const IoChaos& chaos,
-                         std::uint64_t salt)
-    : file_(path, RawFile::Mode::Write, chaos, salt) {
+                         std::uint64_t salt,
+                         std::optional<std::uint64_t> offset)
+    : file_(path,
+            offset.has_value() ? RawFile::Mode::Update : RawFile::Mode::Write,
+            chaos, salt) {
   util::require(buffer_bytes > 0, "SpillWriter: buffer_bytes must be > 0");
   buffer_.resize(buffer_bytes);
+  if (offset.has_value()) {
+    file_.seek(*offset);
+  }
 }
 
 void SpillWriter::write_slow(const void* data, std::size_t count) {

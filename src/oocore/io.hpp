@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -51,10 +52,12 @@ struct IoChaos {
 /// Thin chaos-aware wrapper over one stdio stream. write() always
 /// completes or throws: a short write — injected or real — is retried
 /// from the offset it stopped at. read() returns the byte count actually
-/// delivered (< requested only at end of file).
+/// delivered (< requested only at end of file). Update mode opens an
+/// existing file for writing without truncating it, so several handles
+/// can each seek() to their own byte window of one pre-sized file.
 class RawFile {
  public:
-  enum class Mode { Read, Write };
+  enum class Mode { Read, Write, Update };
 
   RawFile(const std::filesystem::path& path, Mode mode, const IoChaos& chaos,
           std::uint64_t salt);
@@ -87,10 +90,14 @@ class RawFile {
 
 /// Buffered spill-file writer: small records accumulate in one
 /// `buffer_bytes` block, writes at least a block long bypass the copy.
+/// Without `offset` it creates (or truncates) `path`; with one it opens
+/// the existing file in update mode and writes from that byte on, leaving
+/// every byte outside what it writes untouched.
 class SpillWriter {
  public:
   SpillWriter(const std::filesystem::path& path, std::size_t buffer_bytes,
-              const IoChaos& chaos = {}, std::uint64_t salt = 0);
+              const IoChaos& chaos = {}, std::uint64_t salt = 0,
+              std::optional<std::uint64_t> offset = std::nullopt);
 
   /// Inline fast path (a merge writes one small record per call): copy
   /// into the block when it fits without filling it. Empty writes take

@@ -295,6 +295,37 @@ TEST_F(OocoreTest, SpillReaderAndWriterAreExactAcrossBlockBoundaries) {
   EXPECT_THROW(reader.pull(&record), IoError);
 }
 
+TEST_F(OocoreTest, SpillWritersAtOffsetsFillDisjointWindowsOfOneFile) {
+  constexpr std::size_t kBlock = 4096;
+  const std::vector<std::uint64_t> records = random_records(3000, 13);
+  const auto total = records.size() * sizeof(std::uint64_t);
+  const auto* src = reinterpret_cast<const char*>(records.data());
+  const std::size_t split = 1111 * sizeof(std::uint64_t);  // mid-block
+  ScratchDir scratch("pblpar-test");
+  const fs::path path = scratch.next_path("windows");
+  write_records(path, std::vector<std::uint64_t>(records.size(), 0));
+  IoChaos chaos;
+  chaos.short_write_probability = 1.0;
+  chaos.seed = 5;
+
+  // The upper window first, then the lower one from offset 0: neither
+  // writer may truncate or touch the bytes outside its own window.
+  {
+    SpillWriter upper(path, kBlock, chaos, /*salt=*/1, split);
+    for (std::size_t off = split; off < total; off += 8) {
+      upper.write(src + off, 8);
+    }
+    upper.close();
+  }
+  EXPECT_EQ(fs::file_size(path), total);
+  {
+    SpillWriter lower(path, kBlock, chaos, /*salt=*/2, std::uint64_t{0});
+    lower.write(src, split);
+    lower.close();
+  }
+  EXPECT_EQ(read_records(path), records);
+}
+
 TEST_F(OocoreTest, RunWriterReaderRoundTripsWireRecords) {
   using Record = std::pair<std::string, long>;
   const std::vector<Record> records = {
@@ -600,6 +631,124 @@ TEST_F(OocoreTest, SortFileMergesTheSpillSortShapeInTwoPasses) {
   EXPECT_EQ(report.spilled_bytes, 2 * static_cast<std::int64_t>(
                                           records.size() * sizeof(std::uint64_t)));
   std::sort(records.begin(), records.end());
+  EXPECT_EQ(read_records(out), records);
+}
+
+/// The perfbench spill_sort shape: 512 KiB budget, 16 KiB blocks and 4
+/// threads merge a 4 MiB file as 32 runs -> 5 -> 1, and the final pass
+/// (one group) is cut into 4 key-range slices.
+ExtSortOptions spill_sort_options() {
+  ExtSortOptions opts;
+  opts.memory_budget_bytes = std::size_t{512} << 10;
+  opts.io_buffer_bytes = std::size_t{16} << 10;
+  opts.threads = 4;
+  return opts;
+}
+
+TEST_F(OocoreTest, SlicedFinalMergeMatchesStableSortByKey) {
+  // 16-byte {key, seq} records sorted on key alone. Each run segment of
+  // 8192 records holds every key once (4097 is odd, so seq -> key is a
+  // bijection mod 8192), and every key has 32 copies, one per run. The
+  // merge breaks ties by run index, so the exact expected output is a
+  // stable sort by key, seq ascending within each key: a slice boundary
+  // that split a key's copies would reorder them.
+  struct KeySeq {
+    std::uint64_t key;
+    std::uint64_t seq;
+  };
+  const auto by_key = [](const KeySeq& a, const KeySeq& b) {
+    return a.key < b.key;
+  };
+  constexpr std::uint64_t kRecords = (std::uint64_t{4} << 20) / 16;
+  std::vector<KeySeq> records(kRecords);
+  for (std::uint64_t seq = 0; seq < kRecords; ++seq) {
+    records[seq] = {(seq * 4097) % 8192, seq};
+  }
+  ScratchDir scratch("pblpar-test");
+  const fs::path in = scratch.next_path("in");
+  const fs::path out = scratch.next_path("out");
+  {
+    SpillWriter writer(in, std::size_t{64} << 10);
+    writer.write(records.data(), records.size() * sizeof(KeySeq));
+    writer.close();
+  }
+  const ExtSortReport report =
+      sort_file<KeySeq>(in, out, spill_sort_options(), by_key);
+  EXPECT_EQ(report.initial_runs, 32);
+  EXPECT_EQ(report.merge_passes, 2);
+
+  std::stable_sort(records.begin(), records.end(), by_key);
+  std::vector<KeySeq> back(kRecords);
+  ASSERT_EQ(fs::file_size(out), kRecords * sizeof(KeySeq));
+  SpillReader reader(out, std::size_t{64} << 10);
+  ASSERT_EQ(reader.read(back.data(), kRecords * sizeof(KeySeq)),
+            kRecords * sizeof(KeySeq));
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(back[i].key == records[i].key && back[i].seq == records[i].seq)
+        << "first difference at record " << i << ": got {" << back[i].key
+        << ", " << back[i].seq << "}, want {" << records[i].key << ", "
+        << records[i].seq << "}";
+  }
+}
+
+TEST_F(OocoreTest, SlicedFinalMergeHandlesDegenerateKeyOrders) {
+  // Every splitter equal (all keys equal), and runs whose key ranges do
+  // not overlap (sorted and reverse-sorted input): most slice windows are
+  // empty, and the output must still be std::sort's.
+  constexpr std::int64_t kRecords = (std::int64_t{4} << 20) / 8;
+  std::vector<std::vector<std::uint64_t>> inputs(3);
+  inputs[0].assign(kRecords, 42);
+  for (std::int64_t i = 0; i < kRecords; ++i) {
+    inputs[1].push_back(static_cast<std::uint64_t>(i));
+    inputs[2].push_back(static_cast<std::uint64_t>(kRecords - i));
+  }
+  ScratchDir scratch("pblpar-test");
+  for (std::vector<std::uint64_t>& records : inputs) {
+    const fs::path in = scratch.next_path("in");
+    const fs::path out = scratch.next_path("out");
+    write_records(in, records);
+    const ExtSortReport report =
+        sort_file<std::uint64_t>(in, out, spill_sort_options());
+    EXPECT_EQ(report.merge_passes, 2);
+    std::sort(records.begin(), records.end());
+    EXPECT_EQ(read_records(out), records);
+  }
+}
+
+TEST_F(OocoreTest, OnlyAnUnderFilledMergePassIsSliced) {
+  std::vector<std::uint64_t> records =
+      random_records((std::int64_t{4} << 20) / 8, 53);
+  ScratchDir scratch("pblpar-test");
+  const fs::path in = scratch.next_path("in");
+  const fs::path out = scratch.next_path("out");
+  write_records(in, records);
+  std::sort(records.begin(), records.end());
+
+  ExtSortOptions opts = spill_sort_options();
+  opts.record_trace = true;
+  const ExtSortReport report = sort_file<std::uint64_t>(in, out, opts);
+  ASSERT_EQ(report.merge_passes, 2);
+  ASSERT_EQ(report.profiles.size(), 3u);  // run formation + 2 passes
+  // Pass 1 merges 5 groups on 4 threads, unsliced.
+  EXPECT_EQ(report.profiles[1]->merges.size(), 5u);
+  // The final pass is one group, cut into plan.concurrency slices.
+  const auto& final_merges = report.profiles.back()->merges;
+  EXPECT_EQ(static_cast<int>(final_merges.size()),
+            plan_merge(opts, 4).concurrency);
+  std::int64_t merged = 0;
+  for (const rt::MergeEvent& merge : final_merges) {
+    EXPECT_LE(merge.fan_in, report.merge_fan_in);
+    merged += merge.records;
+  }
+  EXPECT_EQ(merged, report.records);
+  EXPECT_EQ(read_records(out), records);
+
+  // One thread plans one merge task at a time, so nothing is sliced.
+  opts.threads = 1;
+  const ExtSortReport serial = sort_file<std::uint64_t>(in, out, opts);
+  ASSERT_GE(serial.merge_passes, 1);
+  EXPECT_EQ(serial.profiles.back()->merges.size(), 1u);
+  EXPECT_EQ(serial.profiles.back()->merges.front().records, serial.records);
   EXPECT_EQ(read_records(out), records);
 }
 
