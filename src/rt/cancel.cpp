@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <thread>
 
 #include "rt/trace.hpp"
 #include "util/error.hpp"
@@ -101,7 +102,12 @@ RegionGovernor::RegionGovernor(const CancelToken& token, double deadline_s,
 
 void RegionGovernor::fire(CancelCause cause, double now) {
   if (fire_claimed_.exchange(true, std::memory_order_acq_rel)) {
-    return;  // a peer already fired; this member just drains
+    // A peer already fired; this member just drains. It reads cause_
+    // next, so wait for the winner to release stop_ after writing it.
+    while (!stop_.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    return;
   }
   cause_ = cause;
   fired_at_s_ = now;

@@ -62,8 +62,8 @@ struct ParallelConfig {
   /// worker pool (workers spawn once and park between regions) instead of
   /// spawning fresh threads per region. On by default — that is what real
   /// OpenMP runtimes do, and it takes region launch off the critical path
-  /// of thread-count sweeps. Set false to measure raw spawn cost or to
-  /// guarantee a region runs on threads no other code has touched.
+  /// of thread-count sweeps. Set false to measure raw spawn cost; the
+  /// caller is member 0 either way.
   /// Ignored by the Sim backend (virtual threads cost nothing to fork).
   bool use_pool = true;
 
@@ -150,7 +150,7 @@ struct ParallelConfig {
   }
 
   /// Copy of this config that bypasses the persistent worker pool and
-  /// spawns fresh threads for the region (the pre-pool behaviour).
+  /// spawns fresh threads for members 1..n-1 of the region.
   ParallelConfig unpooled() const {
     ParallelConfig config = *this;
     config.use_pool = false;

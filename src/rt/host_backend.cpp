@@ -520,9 +520,10 @@ RunResult finish_region(std::vector<std::exception_ptr>& errors,
   return result;
 }
 
-/// The pre-pool execution path: spawn a fresh team of jthreads for this
-/// region and join them at the end. Still used when the config opts out
-/// of the pool and when a nested/concurrent region finds the pool busy.
+/// The pre-pool execution path: spawn fresh jthreads for members
+/// 1..n-1, run member 0 on the caller as the pool does, and join at the
+/// end. Still used when the config opts out of the pool and when a
+/// nested/concurrent region finds the pool busy.
 RunResult host_parallel_spawn(const ParallelConfig& config,
                               const std::function<void(TeamContext&)>& body) {
   const int num_threads = config.num_threads;
@@ -550,11 +551,12 @@ RunResult host_parallel_spawn(const ParallelConfig& config,
   team.trace_epoch = start;
   {
     std::vector<std::jthread> members;
-    members.reserve(static_cast<std::size_t>(num_threads));
-    for (int tid = 0; tid < num_threads; ++tid) {
+    members.reserve(static_cast<std::size_t>(num_threads - 1));
+    for (int tid = 1; tid < num_threads; ++tid) {
       members.emplace_back(
           [&team, &errors, &body, tid] { run_member(team, tid, body, errors); });
     }
+    run_member(team, 0, body, errors);
   }  // jthreads join here
   const auto end = std::chrono::steady_clock::now();
   return finish_region(errors, start, end, recorder.get(), governor.get());

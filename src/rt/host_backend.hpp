@@ -68,9 +68,9 @@ class AbortableBarrier {
 /// persistent worker pool: the calling thread is always member 0 and
 /// num_threads - 1 pool workers — spawned on first use, parked between
 /// regions, re-used thereafter — are the rest. Nested or concurrent
-/// regions that find the pool busy fall back to spawning a fresh team, so
-/// pooling never changes which programs are valid, only how fast regions
-/// launch.
+/// regions that find the pool busy fall back to spawning fresh threads for
+/// members 1..n-1 (the caller is member 0 there too), so pooling never
+/// changes which programs are valid, only how fast regions launch.
 RunResult host_parallel(const ParallelConfig& config,
                         const std::function<void(TeamContext&)>& body);
 

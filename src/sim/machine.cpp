@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "sim/fiber.hpp"
 #include "util/error.hpp"
 
 namespace pblpar::sim {
@@ -27,7 +28,7 @@ const char* phase_name(int phase_index) {
 // Context
 // ---------------------------------------------------------------------------
 
-double Context::now() const { return machine_->api_now(); }
+double Context::now() const { return machine_->now_s_; }
 
 const MachineSpec& Context::spec() const { return machine_->spec(); }
 
@@ -65,24 +66,22 @@ bool Context::wait_until(ConditionHandle condition, MutexHandle mutex,
 }
 
 void Context::notify_one(ConditionHandle condition) {
-  machine_->api_notify(tid_, condition, /*all=*/false);
+  machine_->api_notify(condition, /*all=*/false);
 }
 
 void Context::notify_all(ConditionHandle condition) {
-  machine_->api_notify(tid_, condition, /*all=*/true);
+  machine_->api_notify(condition, /*all=*/true);
 }
 
 void Context::yield() { machine_->api_yield(tid_); }
 
 void Context::annotate_read(const void* addr, std::size_t size) {
-  std::lock_guard guard(machine_->mu_);
   if (machine_->observer_ != nullptr) {
     machine_->observer_->on_read(tid_, addr, size);
   }
 }
 
 void Context::annotate_write(const void* addr, std::size_t size) {
-  std::lock_guard guard(machine_->mu_);
   if (machine_->observer_ != nullptr) {
     machine_->observer_->on_write(tid_, addr, size);
   }
@@ -97,23 +96,15 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec)) {
   util::require(spec_.clock_ghz > 0.0, "Machine: spec.clock_ghz must be > 0");
 }
 
-Machine::~Machine() {
-  for (auto& thread : threads_) {
-    if (thread->os_thread.joinable()) {
-      thread->os_thread.join();
-    }
-  }
-}
+Machine::~Machine() = default;
 
 void Machine::set_observer(HbObserver* observer) {
-  std::lock_guard guard(mu_);
   util::require(!running_run_,
                 "Machine::set_observer: cannot change observer mid-run");
   observer_ = observer;
 }
 
 MutexHandle Machine::make_mutex() {
-  std::lock_guard guard(mu_);
   mutexes_.push_back(MutexState{});
   return MutexHandle{static_cast<int>(mutexes_.size()) - 1};
 }
@@ -121,13 +112,11 @@ MutexHandle Machine::make_mutex() {
 BarrierHandle Machine::make_barrier(int participants) {
   util::require(participants >= 1,
                 "Machine::make_barrier: need at least one participant");
-  std::lock_guard guard(mu_);
   barriers_.push_back(BarrierState{participants, {}});
   return BarrierHandle{static_cast<int>(barriers_.size()) - 1};
 }
 
 ConditionHandle Machine::make_condition() {
-  std::lock_guard guard(mu_);
   conditions_.push_back(ConditionState{});
   return ConditionHandle{static_cast<int>(conditions_.size()) - 1};
 }
@@ -138,23 +127,8 @@ ConditionHandle Machine::make_condition() {
 
 ExecutionReport Machine::run(std::function<void(Context&)> root) {
   util::require(root != nullptr, "Machine::run: root body must be callable");
-  {
-    std::unique_lock lk(mu_);
-    util::require(!running_run_, "Machine::run: already running");
+  util::require(!running_run_, "Machine::run: already running");
 
-    // Join stragglers from a previous (possibly aborted) run and reset.
-    for (auto& thread : threads_) {
-      util::ensure(thread->phase == Phase::Done,
-                   "Machine::run: previous run left live threads");
-    }
-  }
-  for (auto& thread : threads_) {
-    if (thread->os_thread.joinable()) {
-      thread->os_thread.join();
-    }
-  }
-
-  std::unique_lock lk(mu_);
   threads_.clear();
   ready_real_.clear();
   running_real_ = -1;
@@ -185,18 +159,13 @@ ExecutionReport Machine::run(std::function<void(Context&)> root) {
   threads_.push_back(std::move(root_state));
   busy_s_.push_back(0.0);
   enqueue_ready(0);
-  threads_[0]->os_thread = std::thread(&Machine::thread_main, this, 0);
 
-  schedule_next_locked();
-  driver_cv_.wait(lk, [&] { return all_done(); });
+  detail::Fiber caller;
+  caller_ = &caller;
+  schedule_next();
+  run_fibers();
+  caller_ = nullptr;
   running_run_ = false;
-  lk.unlock();
-
-  for (auto& thread : threads_) {
-    if (thread->os_thread.joinable()) {
-      thread->os_thread.join();
-    }
-  }
 
   ExecutionReport report;
   report.spec = spec_;
@@ -219,35 +188,68 @@ ExecutionReport Machine::run(std::function<void(Context&)> root) {
   return report;
 }
 
-void Machine::thread_main(int tid) {
-  std::unique_lock lk(mu_);
-  ThreadState& self = state_of(tid);
-  self.cv.wait(lk, [&] { return self.phase == Phase::RealRunning || aborted_; });
-  if (aborted_ && self.phase != Phase::RealRunning) {
-    finish_thread_locked(tid);
-    return;
+void Machine::run_fibers() {
+  // Every switch back here leaves either a thread picked to run next, an
+  // abort, or every thread done.
+  while (running_real_ != -1 && !aborted_) {
+    resume(state_of(running_real_));
   }
-  lk.unlock();
+  if (aborted_) {
+    // Unwind every live fiber with Aborted, so no stack is released while
+    // it still holds frames. Threads that never started just end.
+    for (auto& thread : threads_) {
+      while (thread->phase != Phase::Done) {
+        if (thread->fiber == nullptr) {
+          finish_thread(thread->tid);
+        } else {
+          resume(*thread);
+        }
+      }
+    }
+  }
+  util::ensure(all_done(), "Machine::run: stopped with live threads");
+}
 
-  Context ctx(*this, tid);
+void Machine::resume(ThreadState& thread) {
+  if (thread.fiber == nullptr) {
+    try {
+      thread.fiber = std::make_unique<detail::Fiber>(&Machine::fiber_main,
+                                                     this);
+    } catch (...) {
+      // No stack for the thread: fail the run as if its body had thrown.
+      if (first_exception_ == nullptr) {
+        first_exception_ = std::current_exception();
+      }
+      aborted_ = true;
+      return;
+    }
+  }
+  caller_->switch_to(*thread.fiber);
+  if (thread.phase == Phase::Done) {
+    thread.fiber.reset();  // back to the stack cache
+  }
+}
+
+void Machine::fiber_main(void* machine) {
+  Machine& self = *static_cast<Machine*>(machine);
+  // A fiber first runs when the scheduler picks its thread.
+  const int tid = self.running_real_;
+  Context ctx(self, tid);
   try {
-    self.body(ctx);
+    self.state_of(tid).body(ctx);
   } catch (const Aborted&) {
     // Normal teardown of an aborted run.
   } catch (...) {
-    std::lock_guard guard(mu_);
-    if (first_exception_ == nullptr) {
-      first_exception_ = std::current_exception();
+    if (self.first_exception_ == nullptr) {
+      self.first_exception_ = std::current_exception();
     }
-    abort_all_locked();
+    self.aborted_ = true;
   }
-
-  lk.lock();
-  finish_thread_locked(tid);
+  self.finish_thread(tid);
 }
 
 // ---------------------------------------------------------------------------
-// Machine: scheduling core (all methods require mu_ held)
+// Machine: scheduling core
 // ---------------------------------------------------------------------------
 
 Machine::ThreadState& Machine::state_of(int tid) {
@@ -271,9 +273,8 @@ int Machine::live_thread_count() const {
 
 void Machine::enqueue_ready(int tid) { ready_real_.push_back(tid); }
 
-void Machine::schedule_next_locked() {
+void Machine::schedule_next() {
   if (aborted_) {
-    abort_all_locked();
     return;
   }
   if (running_real_ != -1) {
@@ -281,10 +282,9 @@ void Machine::schedule_next_locked() {
   }
   while (ready_real_.empty()) {
     if (all_done()) {
-      driver_cv_.notify_all();
       return;
     }
-    advance_virtual_time_locked();
+    advance_virtual_time();
     if (aborted_) {
       return;
     }
@@ -296,23 +296,22 @@ void Machine::schedule_next_locked() {
                "Machine: ready queue held a non-ready thread");
   state.phase = Phase::RealRunning;
   running_real_ = next;
-  state.cv.notify_one();
 }
 
-void Machine::advance_virtual_time_locked() {
+void Machine::advance_virtual_time() {
   std::vector<int> computing;
   for (const auto& thread : threads_) {
     if (thread->phase == Phase::WaitCompute) {
       computing.push_back(thread->tid);
     }
   }
-  const double next_deadline = next_wait_deadline_locked();
+  const double next_deadline = next_wait_deadline();
   if (computing.empty()) {
     if (next_deadline < std::numeric_limits<double>::infinity()) {
       // No modelled work remains, but a timed wait can still fire: jump
       // the clock to the earliest deadline and expire it.
       now_s_ = std::max(now_s_, next_deadline);
-      expire_timed_waits_locked();
+      expire_timed_waits();
       return;
     }
     // Live threads exist (caller checked all_done) but none can make
@@ -328,7 +327,7 @@ void Machine::advance_virtual_time_locked() {
     }
     deadlocked_ = true;
     deadlock_detail_ = detail.str();
-    abort_all_locked();
+    aborted_ = true;
     return;
   }
 
@@ -377,10 +376,10 @@ void Machine::advance_virtual_time_locked() {
       enqueue_ready(state.tid);
     }
   }
-  expire_timed_waits_locked();
+  expire_timed_waits();
 }
 
-double Machine::next_wait_deadline_locked() const {
+double Machine::next_wait_deadline() const {
   double next = std::numeric_limits<double>::infinity();
   for (const auto& condition : conditions_) {
     for (const auto& waiter : condition.waiters) {
@@ -390,7 +389,7 @@ double Machine::next_wait_deadline_locked() const {
   return next;
 }
 
-void Machine::expire_timed_waits_locked() {
+void Machine::expire_timed_waits() {
   constexpr double kSlack = 1e-12;
   for (auto& condition : conditions_) {
     for (auto it = condition.waiters.begin(); it != condition.waiters.end();) {
@@ -398,7 +397,7 @@ void Machine::expire_timed_waits_locked() {
         const ConditionWaiter expired = *it;
         it = condition.waiters.erase(it);
         state_of(expired.tid).timed_out = true;
-        enqueue_for_mutex_locked(expired.tid, expired.mutex_id);
+        enqueue_for_mutex(expired.tid, expired.mutex_id);
       } else {
         ++it;
       }
@@ -406,27 +405,29 @@ void Machine::expire_timed_waits_locked() {
   }
 }
 
-void Machine::begin_wait_and_reschedule(std::unique_lock<std::mutex>& lk,
-                                        int tid) {
+void Machine::begin_wait_and_reschedule(int tid) {
   ThreadState& self = state_of(tid);
   util::ensure(running_real_ == tid,
                "Machine: blocking call from a thread that is not running");
   running_real_ = -1;
-  schedule_next_locked();
-  self.cv.wait(lk, [&] { return self.phase == Phase::RealRunning || aborted_; });
+  schedule_next();
+  // Hand the host thread back to run() unless this thread runs on.
+  if (running_real_ != tid && !aborted_) {
+    self.fiber->switch_to(*caller_);
+  }
   if (aborted_ && self.phase != Phase::RealRunning) {
     throw Aborted{};
   }
 }
 
-void Machine::charge_locked(int tid, double ops, double mem_intensity) {
+void Machine::charge(int tid, double ops, double mem_intensity) {
   ThreadState& state = state_of(tid);
   state.demand_ops = std::max(0.0, ops);
   state.mem_intensity = std::clamp(mem_intensity, 0.0, 1.0);
   state.phase = Phase::WaitCompute;
 }
 
-void Machine::finish_thread_locked(int tid) {
+void Machine::finish_thread(int tid) {
   ThreadState& self = state_of(tid);
   self.phase = Phase::Done;
   if (running_real_ == tid) {
@@ -439,37 +440,14 @@ void Machine::finish_thread_locked(int tid) {
       if (observer_ != nullptr) {
         observer_->on_join(joiner, tid);
       }
-      charge_locked(joiner, join_cost_ops, 0.0);
+      charge(joiner, join_cost_ops, 0.0);
     }
   }
   self.joiners.clear();
-
-  if (aborted_) {
-    for (auto& thread : threads_) {
-      thread->cv.notify_all();
-    }
-    driver_cv_.notify_all();
-    return;
-  }
-  if (all_done()) {
-    driver_cv_.notify_all();
-    return;
-  }
-  if (running_real_ == -1) {
-    schedule_next_locked();
-  }
+  schedule_next();
 }
 
-void Machine::abort_all_locked() {
-  aborted_ = true;
-  for (auto& thread : threads_) {
-    thread->cv.notify_all();
-  }
-  driver_cv_.notify_all();
-}
-
-void Machine::check_abort_locked(int tid) const {
-  (void)tid;
+void Machine::check_abort() const {
   if (aborted_) {
     throw Aborted{};
   }
@@ -480,22 +458,20 @@ void Machine::check_abort_locked(int tid) const {
 // ---------------------------------------------------------------------------
 
 void Machine::api_compute(int tid, double ops, double mem_intensity) {
-  std::unique_lock lk(mu_);
-  check_abort_locked(tid);
+  check_abort();
   if (ops <= 0.0) {
     return;
   }
   ++compute_calls_;
   total_ops_ += ops;
-  charge_locked(tid, ops, mem_intensity);
-  begin_wait_and_reschedule(lk, tid);
+  charge(tid, ops, mem_intensity);
+  begin_wait_and_reschedule(tid);
 }
 
 ThreadHandle Machine::api_spawn(int parent,
                                 std::function<void(Context&)> body) {
   util::require(body != nullptr, "Context::spawn: body must be callable");
-  std::unique_lock lk(mu_);
-  check_abort_locked(parent);
+  check_abort();
 
   const int tid = static_cast<int>(threads_.size());
   auto state = std::make_unique<ThreadState>();
@@ -509,18 +485,16 @@ ThreadHandle Machine::api_spawn(int parent,
   if (observer_ != nullptr) {
     observer_->on_spawn(parent, tid);
   }
-  threads_.back()->os_thread = std::thread(&Machine::thread_main, this, tid);
 
   if (spec_.fork_cost_us > 0.0) {
-    charge_locked(parent, spec_.us_to_ops(spec_.fork_cost_us), 0.0);
-    begin_wait_and_reschedule(lk, parent);
+    charge(parent, spec_.us_to_ops(spec_.fork_cost_us), 0.0);
+    begin_wait_and_reschedule(parent);
   }
   return ThreadHandle{tid};
 }
 
 void Machine::api_join(int tid, ThreadHandle child) {
-  std::unique_lock lk(mu_);
-  check_abort_locked(tid);
+  check_abort();
   util::require(child.tid >= 0 &&
                     child.tid < static_cast<int>(threads_.size()),
                 "Context::join: invalid thread handle");
@@ -533,19 +507,18 @@ void Machine::api_join(int tid, ThreadHandle child) {
       observer_->on_join(tid, child.tid);
     }
     if (spec_.join_cost_us > 0.0) {
-      charge_locked(tid, spec_.us_to_ops(spec_.join_cost_us), 0.0);
-      begin_wait_and_reschedule(lk, tid);
+      charge(tid, spec_.us_to_ops(spec_.join_cost_us), 0.0);
+      begin_wait_and_reschedule(tid);
     }
     return;
   }
   target.joiners.push_back(tid);
   state_of(tid).phase = Phase::WaitJoin;
-  begin_wait_and_reschedule(lk, tid);
+  begin_wait_and_reschedule(tid);
 }
 
 void Machine::api_barrier(int tid, BarrierHandle handle) {
-  std::unique_lock lk(mu_);
-  check_abort_locked(tid);
+  check_abort();
   util::require(handle.id >= 0 &&
                     handle.id < static_cast<int>(barriers_.size()),
                 "Context::barrier: invalid barrier handle");
@@ -556,7 +529,7 @@ void Machine::api_barrier(int tid, BarrierHandle handle) {
 
   if (static_cast<int>(barrier.arrived.size()) < barrier.participants) {
     state_of(tid).phase = Phase::WaitBarrier;
-    begin_wait_and_reschedule(lk, tid);
+    begin_wait_and_reschedule(tid);
     return;
   }
 
@@ -569,15 +542,14 @@ void Machine::api_barrier(int tid, BarrierHandle handle) {
       spec_.barrier_cost_us_per_thread *
       static_cast<double>(barrier.participants));
   for (const int participant : barrier.arrived) {
-    charge_locked(participant, cost_ops, 0.0);
+    charge(participant, cost_ops, 0.0);
   }
   barrier.arrived.clear();
-  begin_wait_and_reschedule(lk, tid);
+  begin_wait_and_reschedule(tid);
 }
 
 void Machine::api_lock(int tid, MutexHandle handle) {
-  std::unique_lock lk(mu_);
-  check_abort_locked(tid);
+  check_abort();
   util::require(handle.id >= 0 &&
                     handle.id < static_cast<int>(mutexes_.size()),
                 "Context::lock: invalid mutex handle");
@@ -592,17 +564,17 @@ void Machine::api_lock(int tid, MutexHandle handle) {
       observer_->on_mutex_acquire(tid, static_cast<std::uint64_t>(handle.id));
     }
     if (spec_.mutex_acquire_cost_us > 0.0) {
-      charge_locked(tid, spec_.us_to_ops(spec_.mutex_acquire_cost_us), 0.0);
-      begin_wait_and_reschedule(lk, tid);
+      charge(tid, spec_.us_to_ops(spec_.mutex_acquire_cost_us), 0.0);
+      begin_wait_and_reschedule(tid);
     }
     return;
   }
   mutex.waiters.push_back(tid);
   state_of(tid).phase = Phase::WaitMutex;
-  begin_wait_and_reschedule(lk, tid);
+  begin_wait_and_reschedule(tid);
 }
 
-void Machine::unlock_locked(int tid, int mutex_id) {
+void Machine::unlock_mutex(int tid, int mutex_id) {
   MutexState& mutex = mutexes_[static_cast<std::size_t>(mutex_id)];
   util::require(mutex.owner == tid,
                 "Context::unlock: calling thread does not own the mutex");
@@ -622,19 +594,18 @@ void Machine::unlock_locked(int tid, int mutex_id) {
     observer_->on_mutex_acquire(next, static_cast<std::uint64_t>(mutex_id));
   }
   // The granted thread pays the acquire cost before resuming real code.
-  charge_locked(next, spec_.us_to_ops(spec_.mutex_acquire_cost_us), 0.0);
+  charge(next, spec_.us_to_ops(spec_.mutex_acquire_cost_us), 0.0);
 }
 
 void Machine::api_unlock(int tid, MutexHandle handle) {
-  std::unique_lock lk(mu_);
-  check_abort_locked(tid);
+  check_abort();
   util::require(handle.id >= 0 &&
                     handle.id < static_cast<int>(mutexes_.size()),
                 "Context::unlock: invalid mutex handle");
-  unlock_locked(tid, handle.id);
+  unlock_mutex(tid, handle.id);
 }
 
-void Machine::enqueue_for_mutex_locked(int tid, int mutex_id) {
+void Machine::enqueue_for_mutex(int tid, int mutex_id) {
   MutexState& mutex = mutexes_[static_cast<std::size_t>(mutex_id)];
   if (mutex.owner == -1 && mutex.waiters.empty()) {
     mutex.owner = tid;
@@ -642,7 +613,7 @@ void Machine::enqueue_for_mutex_locked(int tid, int mutex_id) {
     if (observer_ != nullptr) {
       observer_->on_mutex_acquire(tid, static_cast<std::uint64_t>(mutex_id));
     }
-    charge_locked(tid, spec_.us_to_ops(spec_.mutex_acquire_cost_us), 0.0);
+    charge(tid, spec_.us_to_ops(spec_.mutex_acquire_cost_us), 0.0);
     return;
   }
   mutex.waiters.push_back(tid);
@@ -657,8 +628,7 @@ void Machine::api_wait(int tid, ConditionHandle condition,
 
 bool Machine::api_wait_until(int tid, ConditionHandle condition,
                              MutexHandle mutex, double deadline_s) {
-  std::unique_lock lk(mu_);
-  check_abort_locked(tid);
+  check_abort();
   util::require(condition.id >= 0 &&
                     condition.id < static_cast<int>(conditions_.size()),
                 "Context::wait: invalid condition handle");
@@ -672,17 +642,16 @@ bool Machine::api_wait_until(int tid, ConditionHandle condition,
   self.timed_out = false;
   conditions_[static_cast<std::size_t>(condition.id)].waiters.push_back(
       ConditionWaiter{tid, mutex.id, deadline_s});
-  unlock_locked(tid, mutex.id);
+  unlock_mutex(tid, mutex.id);
   self.phase = Phase::WaitCondition;
-  begin_wait_and_reschedule(lk, tid);
+  begin_wait_and_reschedule(tid);
   // On return the mutex has been re-acquired (the notify or the timeout
   // expiry routed this thread through the mutex queue).
   return !self.timed_out;
 }
 
-void Machine::api_notify(int tid, ConditionHandle condition, bool all) {
-  std::unique_lock lk(mu_);
-  check_abort_locked(tid);
+void Machine::api_notify(ConditionHandle condition, bool all) {
+  check_abort();
   util::require(condition.id >= 0 &&
                     condition.id < static_cast<int>(conditions_.size()),
                 "Context::notify: invalid condition handle");
@@ -693,22 +662,16 @@ void Machine::api_notify(int tid, ConditionHandle condition, bool all) {
   for (std::size_t i = 0; i < wake_count; ++i) {
     const ConditionWaiter waiter = state.waiters.front();
     state.waiters.pop_front();
-    enqueue_for_mutex_locked(waiter.tid, waiter.mutex_id);
+    enqueue_for_mutex(waiter.tid, waiter.mutex_id);
   }
 }
 
 void Machine::api_yield(int tid) {
-  std::unique_lock lk(mu_);
-  check_abort_locked(tid);
+  check_abort();
   ThreadState& self = state_of(tid);
   self.phase = Phase::ReadyReal;
   enqueue_ready(tid);
-  begin_wait_and_reschedule(lk, tid);
-}
-
-double Machine::api_now() const {
-  std::lock_guard guard(mu_);
-  return now_s_;
+  begin_wait_and_reschedule(tid);
 }
 
 }  // namespace pblpar::sim

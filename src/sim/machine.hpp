@@ -1,15 +1,12 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/observer.hpp"
@@ -19,6 +16,10 @@
 namespace pblpar::sim {
 
 class Machine;
+
+namespace detail {
+class Fiber;
+}  // namespace detail
 
 /// Thrown out of Machine::run when every virtual thread is blocked and no
 /// modelled work remains — i.e., the simulated program deadlocked.
@@ -166,9 +167,13 @@ class ScopedLock {
 /// drains under generalized processor sharing across `spec.cores` cores,
 /// with oversubscription and memory-contention penalties (see MachineSpec).
 ///
+/// Each virtual thread is a fiber on the host thread that calls run(),
+/// with a detail::kFiberStackBytes stack above a guard page; run() loops,
+/// resuming whichever thread the scheduler picks.
+///
 /// A Machine is reusable: each call to run() starts a fresh virtual clock.
 /// Machines are not themselves thread-safe; drive a given instance from
-/// one host thread.
+/// one host thread. A virtual thread may run() another Machine.
 class Machine {
  public:
   explicit Machine(MachineSpec spec = MachineSpec::raspberry_pi_3bplus());
@@ -212,11 +217,11 @@ class Machine {
     Phase phase = Phase::ReadyReal;
     double demand_ops = 0.0;
     double mem_intensity = 0.0;
-    std::condition_variable cv;
     std::function<void(Context&)> body;
     std::vector<int> joiners;
     bool timed_out = false;  // set when a wait_until expired, not notified
-    std::thread os_thread;
+    // Created at the thread's first resume, released once it is Done.
+    std::unique_ptr<detail::Fiber> fiber;
   };
 
   struct MutexState {
@@ -239,22 +244,25 @@ class Machine {
     std::deque<ConditionWaiter> waiters;
   };
 
-  // All private methods below require mu_ to be held by the caller.
   ThreadState& state_of(int tid);
   bool all_done() const;
   int live_thread_count() const;
   void enqueue_ready(int tid);
-  void schedule_next_locked();
-  void advance_virtual_time_locked();
-  double next_wait_deadline_locked() const;
-  void expire_timed_waits_locked();
-  void begin_wait_and_reschedule(std::unique_lock<std::mutex>& lk, int tid);
-  void charge_locked(int tid, double ops, double mem_intensity);
-  void finish_thread_locked(int tid);
-  void abort_all_locked();
-  void check_abort_locked(int tid) const;
+  void schedule_next();
+  void advance_virtual_time();
+  double next_wait_deadline() const;
+  void expire_timed_waits();
+  void begin_wait_and_reschedule(int tid);
+  void charge(int tid, double ops, double mem_intensity);
+  void finish_thread(int tid);
+  void check_abort() const;
 
-  // Blocking entry points used by Context (acquire mu_ themselves).
+  // run()'s side: resume fibers until every thread is done.
+  void run_fibers();
+  void resume(ThreadState& thread);
+  static void fiber_main(void* machine);
+
+  // Entry points used by Context; the blocking ones switch back to run().
   void api_compute(int tid, double ops, double mem_intensity);
   ThreadHandle api_spawn(int parent, std::function<void(Context&)> body);
   void api_join(int tid, ThreadHandle child);
@@ -264,19 +272,14 @@ class Machine {
   void api_wait(int tid, ConditionHandle condition, MutexHandle mutex);
   bool api_wait_until(int tid, ConditionHandle condition, MutexHandle mutex,
                       double deadline_s);
-  void api_notify(int tid, ConditionHandle condition, bool all);
+  void api_notify(ConditionHandle condition, bool all);
   void api_yield(int tid);
-  void unlock_locked(int tid, int mutex_id);
-  void enqueue_for_mutex_locked(int tid, int mutex_id);
-  double api_now() const;
-
-  void thread_main(int tid);
+  void unlock_mutex(int tid, int mutex_id);
+  void enqueue_for_mutex(int tid, int mutex_id);
 
   MachineSpec spec_;
   HbObserver* observer_ = nullptr;
-
-  mutable std::mutex mu_;
-  std::condition_variable driver_cv_;
+  detail::Fiber* caller_ = nullptr;  // the caller of run(), while it runs
 
   std::vector<std::unique_ptr<ThreadState>> threads_;
   std::deque<int> ready_real_;

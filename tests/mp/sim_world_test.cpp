@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <numeric>
 #include <set>
+#include <sstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -315,6 +321,74 @@ TEST(SimWorldTiming, DeterministicAcrossRuns) {
         .machine.makespan_s;
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
+}
+
+/// Counts and virtual makespan of one Sim cluster word count; both are
+/// deterministic for a given job.
+struct WordCountResult {
+  std::vector<int> counts;
+  double makespan_s = 0.0;
+  bool operator==(const WordCountResult&) const = default;
+};
+
+/// A 3-rank word count: rank r counts every third line of a corpus drawn
+/// from `job`, charging modelled work per word, and rank 0 sums the
+/// counts.
+WordCountResult sim_word_count(int job) {
+  static const std::vector<std::string> vocab = {
+      "map", "reduce", "rank", "core", "pi", "mpi", "thread", "barrier"};
+  std::vector<std::string> lines(24);
+  std::uint32_t state = 2654435761u * static_cast<std::uint32_t>(job + 1);
+  for (std::string& line : lines) {
+    for (int word = 0; word < 6; ++word) {
+      state = state * 1664525u + 1013904223u;
+      line += vocab[state >> 29] + " ";
+    }
+  }
+  WordCountResult result;
+  const ClusterReport report = SimWorld::run(3, [&](SimComm& comm) {
+    std::vector<int> counts(vocab.size(), 0);
+    for (std::size_t i = static_cast<std::size_t>(comm.rank());
+         i < lines.size(); i += static_cast<std::size_t>(comm.size())) {
+      std::istringstream words(lines[i]);
+      std::string word;
+      while (words >> word) {
+        const auto at = std::find(vocab.begin(), vocab.end(), word);
+        ++counts[static_cast<std::size_t>(at - vocab.begin())];
+        comm.charge_ops(50.0);
+      }
+    }
+    comm.reduce_elementwise(counts, std::plus<int>{}, 0);
+    if (comm.rank() == 0) {
+      result.counts = counts;
+    }
+  });
+  result.makespan_s = report.machine.makespan_s;
+  return result;
+}
+
+TEST(SimWorldTest, ConcurrentHostThreadsMatchASerialRun) {
+  // Two host threads run Sim worlds at once, as the service lanes do, so
+  // their fibers draw on the shared stack cache together.
+  constexpr int kJobsPerThread = 50;
+  std::vector<WordCountResult> serial;
+  for (int job = 0; job < 2 * kJobsPerThread; ++job) {
+    serial.push_back(sim_word_count(job));
+  }
+  std::vector<WordCountResult> concurrent(serial.size());
+  const auto lane = [&](int first) {
+    for (int job = first; job < first + kJobsPerThread; ++job) {
+      concurrent[static_cast<std::size_t>(job)] = sim_word_count(job);
+    }
+  };
+  std::thread a(lane, 0);
+  std::thread b(lane, kJobsPerThread);
+  a.join();
+  b.join();
+  EXPECT_EQ(concurrent, serial);
+  EXPECT_EQ(std::accumulate(serial[0].counts.begin(), serial[0].counts.end(),
+                            0),
+            24 * 6);
 }
 
 TEST(SimWorldTest, Validation) {

@@ -147,6 +147,40 @@ TEST(TeamPoolTest, NestedRegionFallsBackToSpawnedTeam) {
   EXPECT_EQ(inner_total.load(), 6);  // both outer members ran an inner region
 }
 
+TEST(TeamPoolTest, SpawnFallbackRunsMemberZeroOnTheCaller) {
+  // Unpooled: member 0 is the caller, as in a pooled region.
+  for (const int threads : {1, 3}) {
+    std::map<int, std::thread::id> ids;
+    std::mutex mu;
+    parallel(ParallelConfig::host(threads).unpooled(), [&](TeamContext& tc) {
+      std::lock_guard guard(mu);
+      ids[tc.thread_num()] = std::this_thread::get_id();
+    });
+    ASSERT_EQ(ids.size(), static_cast<std::size_t>(threads));
+    EXPECT_EQ(ids.at(0), std::this_thread::get_id());
+  }
+  // Nested in a pooled region, so the pool is busy: each outer member is
+  // member 0 of its inner region, and a 1-wide inner region spawns
+  // nothing.
+  std::atomic<int> inner_on_caller{0};
+  std::atomic<int> narrow_on_caller{0};
+  parallel(ParallelConfig::host(2), [&](TeamContext&) {
+    const std::thread::id caller = std::this_thread::get_id();
+    parallel(ParallelConfig::host(2), [&](TeamContext& inner) {
+      if (inner.thread_num() == 0 && std::this_thread::get_id() == caller) {
+        inner_on_caller.fetch_add(1);
+      }
+    });
+    parallel(ParallelConfig::host(1), [&](TeamContext&) {
+      if (std::this_thread::get_id() == caller) {
+        narrow_on_caller.fetch_add(1);
+      }
+    });
+  });
+  EXPECT_EQ(inner_on_caller.load(), 2);
+  EXPECT_EQ(narrow_on_caller.load(), 2);
+}
+
 TEST(TeamPoolTest, ConcurrentRegionsFromIndependentThreadsStayCorrect) {
   // Two plain std::threads each run a stream of host regions. Whichever
   // loses the race for the pool must transparently spawn; every region

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <exception>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "sim/fiber.hpp"
 #include "util/error.hpp"
 
 namespace pblpar::sim {
@@ -345,6 +349,218 @@ TEST(MachineTest, InvalidHandlesAreRejected) {
 TEST(MachineTest, MakeBarrierRejectsNonPositiveParticipants) {
   Machine machine(exact_spec(1));
   EXPECT_THROW(machine.make_barrier(0), util::PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Fibers: each virtual thread keeps its own exception state and stack
+// ---------------------------------------------------------------------------
+
+/// The int that std::current_exception() holds, or -1 for anything else.
+int held_int() {
+  try {
+    std::rethrow_exception(std::current_exception());
+  } catch (int value) {
+    return value;
+  } catch (...) {
+    return -1;
+  }
+}
+
+/// The string that std::current_exception() holds, or "?" otherwise.
+std::string held_string() {
+  try {
+    std::rethrow_exception(std::current_exception());
+  } catch (const std::string& value) {
+    return value;
+  } catch (...) {
+    return "?";
+  }
+}
+
+TEST(MachineTest, CaughtExceptionStaysWithItsFiber) {
+  Machine machine(exact_spec(2));
+  std::vector<int> a_held;
+  std::string b_held;
+  machine.run([&](Context& root) {
+    const ThreadHandle a = root.spawn([&](Context& ctx) {
+      try {
+        throw 7;
+      } catch (int) {
+        ctx.yield();  // B enters its handler and yields inside it
+        a_held.push_back(held_int());
+        ctx.yield();  // B leaves its handler and finishes
+        a_held.push_back(held_int());
+      }
+    });
+    const ThreadHandle b = root.spawn([&](Context& ctx) {
+      try {
+        throw std::string("b");
+      } catch (const std::string&) {
+        ctx.yield();
+        b_held = held_string();
+      }
+    });
+    root.join(a);
+    root.join(b);
+  });
+  EXPECT_EQ(a_held, (std::vector<int>{7, 7}));
+  EXPECT_EQ(b_held, "b");
+}
+
+/// Yields from its destructor, so a fiber switch happens mid-unwind.
+struct YieldOnUnwind {
+  Context& ctx;
+  int& uncaught_seen;
+  ~YieldOnUnwind() {
+    ctx.yield();
+    uncaught_seen = std::uncaught_exceptions();
+  }
+};
+
+TEST(MachineTest, UncaughtExceptionCountStaysWithItsFiber) {
+  Machine machine(exact_spec(2));
+  int a_seen = -1;
+  int b_seen = -1;
+  machine.run([&](Context& root) {
+    const ThreadHandle a = root.spawn([&](Context& ctx) {
+      try {
+        const YieldOnUnwind guard{ctx, a_seen};
+        throw std::runtime_error("a");
+      } catch (const std::runtime_error&) {
+      }
+    });
+    // Runs while A is suspended in its destructor, mid-unwind.
+    const ThreadHandle b = root.spawn(
+        [&](Context&) { b_seen = std::uncaught_exceptions(); });
+    root.join(a);
+    root.join(b);
+  });
+  EXPECT_EQ(a_seen, 1);
+  EXPECT_EQ(b_seen, 0);
+}
+
+/// Recurse until the frame sits `depth` bytes below `top`. Each frame
+/// writes a 256-byte pad, so the stack is touched a page at a time and an
+/// overflow lands on the guard page, not past it.
+std::size_t recurse_to(const char* top, std::size_t depth) {
+  volatile char pad[256];
+  pad[0] = 1;
+  pad[sizeof pad - 1] = 1;
+  const auto* here = static_cast<const char*>(__builtin_frame_address(0));
+  if (static_cast<std::size_t>(top - here) >= depth) {
+    return 1;
+  }
+  return recurse_to(top, depth) + static_cast<std::size_t>(pad[0]);
+}
+
+TEST(MachineTest, BodyMayRecurseToNearItsStackSize) {
+  Machine machine(exact_spec(1));
+  std::size_t frames = 0;
+  machine.run([&](Context&) {
+    const auto* top = static_cast<const char*>(__builtin_frame_address(0));
+    frames = recurse_to(top, detail::kFiberStackBytes - 64 * 1024);
+  });
+  EXPECT_GT(frames, 0u);
+}
+
+TEST(MachineDeathTest, RecursionPastTheStackDiesOnTheGuardPage) {
+  EXPECT_DEATH(
+      {
+        Machine machine(exact_spec(1));
+        machine.run([](Context&) {
+          const auto* top =
+              static_cast<const char*>(__builtin_frame_address(0));
+          recurse_to(top, 2 * detail::kFiberStackBytes);
+        });
+      },
+      "");
+}
+
+TEST(MachineTest, RunNestsInsideAVirtualThread) {
+  Machine outer(exact_spec(2));
+  Machine inner(exact_spec(2));
+  std::vector<std::string> order;
+  double inner_makespan = -1.0;
+  const ExecutionReport report = outer.run([&](Context& root) {
+    const ThreadHandle peer = root.spawn([&](Context& ctx) {
+      order.push_back("outer peer");
+      ctx.compute(2e9);
+    });
+    inner_makespan = inner
+                         .run([&](Context& inner_root) {
+                           const ThreadHandle child =
+                               inner_root.spawn([&](Context& ctx) {
+                                 order.push_back("inner child");
+                                 ctx.compute(5e8);
+                               });
+                           inner_root.yield();
+                           order.push_back("inner root");
+                           inner_root.join(child);
+                         })
+                         .makespan_s;
+    // An exception out of the nested run reaches this virtual thread.
+    EXPECT_THROW(inner.run([](Context&) { throw std::runtime_error("x"); }),
+                 std::runtime_error);
+    root.compute(1e9);
+    root.join(peer);
+  });
+  EXPECT_DOUBLE_EQ(inner_makespan, 0.5);
+  EXPECT_DOUBLE_EQ(report.makespan_s, 2.0);
+  EXPECT_EQ(order, (std::vector<std::string>{"inner child", "inner root",
+                                             "outer peer"}));
+}
+
+/// Counts the virtual-thread bodies that have been unwound or returned.
+struct CountOnExit {
+  int& count;
+  ~CountOnExit() { ++count; }
+};
+
+TEST(MachineTest, DeadlockUnwindsEveryFiberBeforeThrowing) {
+  Machine machine(exact_spec(4));
+  const BarrierHandle barrier = machine.make_barrier(5);  // one too many
+  int exited = 0;
+  try {
+    machine.run([&](Context& root) {
+      const CountOnExit count{exited};
+      for (int i = 0; i < 3; ++i) {
+        root.spawn([&](Context& ctx) {
+          const CountOnExit child_count{exited};
+          ctx.barrier(barrier);
+        });
+      }
+      root.barrier(barrier);
+    });
+    FAIL() << "expected a DeadlockError";
+  } catch (const DeadlockError&) {
+    EXPECT_EQ(exited, 4);
+  }
+}
+
+TEST(MachineTest, ThrowingRunUnwindsEveryFiberBeforeRethrowing) {
+  Machine machine(exact_spec(4));
+  const BarrierHandle barrier = machine.make_barrier(4);
+  int exited = 0;
+  bool late_child_ran = false;
+  try {
+    machine.run([&](Context& root) {
+      const CountOnExit count{exited};
+      for (int i = 0; i < 3; ++i) {
+        root.spawn([&](Context& ctx) {
+          const CountOnExit child_count{exited};
+          ctx.barrier(barrier);
+        });
+      }
+      root.compute(1e6);  // the children run and block on the barrier
+      root.spawn([&](Context&) { late_child_ran = true; });  // never starts
+      throw std::runtime_error("root failed");
+    });
+    FAIL() << "expected the root's exception";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "root failed");
+    EXPECT_EQ(exited, 4);
+    EXPECT_FALSE(late_child_ran);
+  }
 }
 
 }  // namespace
