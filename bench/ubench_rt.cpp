@@ -172,10 +172,9 @@ int main(int argc, char** argv) {
   const rt::PoolSnapshot pool = rt::pool_snapshot();
   std::printf(
       "\npool snapshot: %d persistent workers, %llu pooled regions, "
-      "%llu spawned fallbacks%s\n",
+      "%llu regions that started threads\n",
       pool.workers, static_cast<unsigned long long>(pool.pooled_regions),
-      static_cast<unsigned long long>(pool.spawned_regions),
-      pool.busy ? " (busy)" : "");
+      static_cast<unsigned long long>(pool.spawned_regions));
   benchmark::Shutdown();
   return 0;
 }

@@ -70,14 +70,10 @@ Samples time_host_loop(int threads, rt::Schedule schedule, std::int64_t total,
   });
 }
 
-/// A host team on the persistent pool or the per-region spawn path,
-/// after one untimed region so the pool's workers exist (or the
-/// allocator and thread stacks are warm on the spawn path).
-rt::ParallelConfig warm_config(int threads, bool pooled) {
-  rt::ParallelConfig config = rt::ParallelConfig::host(threads);
-  if (!pooled) {
-    config = config.unpooled();
-  }
+/// A host team whose pool workers already exist: one untimed region
+/// first, so the timed ones launch on parked workers.
+rt::ParallelConfig warm_config(int threads) {
+  const rt::ParallelConfig config = rt::ParallelConfig::host(threads);
   rt::parallel(config, [](rt::TeamContext&) {});
   return config;
 }
@@ -86,10 +82,26 @@ rt::ParallelConfig warm_config(int threads, bool pooled) {
 /// Each region is timed individually and the row reports the median: on
 /// a loaded machine a few samples absorb a preemption mid-handoff, and
 /// those tails say nothing about what a region launch costs.
-Samples time_region_launch(int threads, bool pooled, int repeats) {
-  const rt::ParallelConfig config = warm_config(threads, pooled);
+Samples time_region_launch(int threads, int repeats) {
+  const rt::ParallelConfig config = warm_config(threads);
   return bench::trials(repeats,
                        [&] { rt::parallel(config, [](rt::TeamContext&) {}); });
+}
+
+/// The spawn baseline: what one empty region cost before pools existed.
+/// Start threads - 1 fresh jthreads, run member 0's empty body on the
+/// caller, and join — after one untimed round so the allocator and
+/// thread stacks are warm.
+Samples time_spawn_launch(int threads, int repeats) {
+  const auto spawn_team = [threads] {
+    std::vector<std::jthread> members;
+    members.reserve(static_cast<std::size_t>(threads - 1));
+    for (int tid = 1; tid < threads; ++tid) {
+      members.emplace_back([] {});
+    }
+  };  // the caller's member 0 body is empty; the jthreads join here
+  spawn_team();
+  return bench::trials(repeats, spawn_team);
 }
 
 /// Latency from an external cancel() to rt::Cancelled surfacing out of
@@ -97,8 +109,8 @@ Samples time_region_launch(int threads, bool pooled, int repeats) {
 /// A helper thread waits until the loop has demonstrably started, stamps
 /// the clock, and cancels; the region runs dynamic,1 over a range far too
 /// large to finish, so every sample measures the drain, not completion.
-Samples time_cancel_drain(int threads, bool pooled, int repeats) {
-  const rt::ParallelConfig base = warm_config(threads, pooled);
+Samples time_cancel_drain(int threads, int repeats) {
+  const rt::ParallelConfig base = warm_config(threads);
   return bench::trials(repeats, [&] {
     double sample = 0.0;
     rt::CancelSource source;
@@ -284,7 +296,7 @@ Samples time_mailbox_rtt_lockfree(int round_trips, int repeats) {
   return samples;
 }
 
-/// A launch or cancel row: spawn vs pool at one team width, as medians.
+/// A launch row: spawn vs pool at one team width, as medians.
 bench::Json spawn_pool_json(int threads, const Samples& spawn,
                             const Samples& pool) {
   bench::Json json = bench::Json::object({{"threads", threads}});
@@ -371,16 +383,16 @@ int main(int argc, char** argv) {
           : thread_counts.back();
 
   // Region-launch latency: what one empty parallel() costs on the
-  // persistent pool (parked workers, generation handoff) vs the spawn
-  // path (fresh threads per region) — the number that decides whether a
+  // persistent pool (parked workers, generation handoff) vs spawning
+  // fresh threads per region — the number that decides whether a
   // thread-count sweep measures the loop or the fork.
   const int launch_repeats = smoke ? 50 : 500;
   bench::Json launch = bench::Json::array();
   double spawn_launch_s = 0.0;
   double pool_launch_s = 0.0;
   for (const int threads : thread_counts) {
-    const Samples spawn = time_region_launch(threads, false, launch_repeats);
-    const Samples pool = time_region_launch(threads, true, launch_repeats);
+    const Samples spawn = time_spawn_launch(threads, launch_repeats);
+    const Samples pool = time_region_launch(threads, launch_repeats);
     launch.push(bench::show("launch", spawn_pool_json(threads, spawn, pool)));
     if (threads == pool_check_threads) {
       spawn_launch_s = spawn.median();
@@ -390,7 +402,7 @@ int main(int argc, char** argv) {
   doc.set("launch", std::move(launch));
 
   // Cancellation-drain latency: how long after an external cancel() the
-  // region actually returns control (as rt::Cancelled), pool vs spawn.
+  // region actually returns control (as rt::Cancelled) on the pool.
   // Chunk-boundary polling means this is roughly one dynamic,1 chunk plus
   // the abortable-barrier drain — it must stay in launch-latency
   // territory, not loop-runtime territory.
@@ -398,9 +410,10 @@ int main(int argc, char** argv) {
   bench::Json cancel = bench::Json::array();
   double pool_cancel_s = 0.0;
   for (const int threads : thread_counts) {
-    const Samples spawn = time_cancel_drain(threads, false, cancel_repeats);
-    const Samples pool = time_cancel_drain(threads, true, cancel_repeats);
-    cancel.push(bench::show("cancel", spawn_pool_json(threads, spawn, pool)));
+    const Samples pool = time_cancel_drain(threads, cancel_repeats);
+    bench::Json row = bench::Json::object({{"threads", threads}});
+    bench::put_timing(row, "pool_", pool.median(), pool);
+    cancel.push(bench::show("cancel", std::move(row)));
     if (threads == pool_check_threads) {
       pool_cancel_s = pool.median();
     }

@@ -58,15 +58,6 @@ struct ParallelConfig {
   /// bookkeeping.
   bool record_trace = false;
 
-  /// Host backend only: run the region on the process-wide persistent
-  /// worker pool (workers spawn once and park between regions) instead of
-  /// spawning fresh threads per region. On by default — that is what real
-  /// OpenMP runtimes do, and it takes region launch off the critical path
-  /// of thread-count sweeps. Set false to measure raw spawn cost; the
-  /// caller is member 0 either way.
-  /// Ignored by the Sim backend (virtual threads cost nothing to fork).
-  bool use_pool = true;
-
   /// Cooperative cancellation token; every team member polls it at
   /// chunk-claim boundaries and the region throws rt::Cancelled (with
   /// per-thread completed-iteration counts) once a member observes it.
@@ -146,14 +137,6 @@ struct ParallelConfig {
     ParallelConfig config = *this;
     config.observer = std::move(region_observer);
     config.record_trace = true;
-    return config;
-  }
-
-  /// Copy of this config that bypasses the persistent worker pool and
-  /// spawns fresh threads for members 1..n-1 of the region.
-  ParallelConfig unpooled() const {
-    ParallelConfig config = *this;
-    config.use_pool = false;
     return config;
   }
 

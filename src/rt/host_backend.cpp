@@ -420,7 +420,7 @@ void run_member(HostTeam& team, int tid,
     // Another member failed; we just unwound past its barriers.
   } catch (const detail::CancelSignal&) {
     // Cooperative cancellation: not an error, so nothing is recorded —
-    // finish_region reads the verdict off the governor instead.
+    // run_acquired reads the verdict off the governor instead.
   } catch (...) {
     errors[static_cast<std::size_t>(tid)] = std::current_exception();
     team.aborted.store(true);
@@ -433,9 +433,12 @@ void run_member(HostTeam& team, int tid,
   }
 }
 
-/// Regions that could not take the pool (nested/concurrent, or opted out)
-/// and spawned a fresh team instead.
+/// The process-wide counters behind rt::pool_snapshot(), summed over
+/// every TeamPool: regions that started no thread, regions that started
+/// at least one (by building or growing their pool), and workers spawned.
+std::atomic<std::uint64_t> g_pooled_regions{0};
 std::atomic<std::uint64_t> g_spawned_regions{0};
+std::atomic<int> g_workers{0};
 
 /// The process-wide observer behind rt::pool_snapshot(): every traced
 /// region offers its recorder with try_attach, so the first one up is the
@@ -468,7 +471,7 @@ struct PoolObserverAttach {
 };
 
 /// RAII attach of a config's RegionObserver to the region's recorder.
-/// Declared after the recorder in both launch paths, so destruction
+/// Declared after the recorder in run_acquired, so destruction
 /// detaches (blocking out in-flight snapshot readers) strictly before
 /// the recorder dies.
 struct ObserverAttach {
@@ -489,79 +492,6 @@ struct ObserverAttach {
   ObserverAttach& operator=(const ObserverAttach&) = delete;
 };
 
-RunResult finish_region(std::vector<std::exception_ptr>& errors,
-                        std::chrono::steady_clock::time_point start,
-                        std::chrono::steady_clock::time_point end,
-                        TraceRecorder* recorder, RegionGovernor* governor) {
-  // Real errors win over cancellation: a body that threw mid-drain (or a
-  // ChaosInjected) is what the caller must see first.
-  for (const auto& error : errors) {
-    if (error != nullptr) {
-      std::rethrow_exception(error);
-    }
-  }
-  const double region_s =
-      std::chrono::duration<double>(end - start).count();
-  if (governor != nullptr && governor->fired()) {
-    std::shared_ptr<const RunProfile> profile;
-    if (recorder != nullptr) {
-      profile =
-          std::make_shared<const RunProfile>(recorder->finish(region_s));
-    }
-    throw Cancelled(governor->cause(), governor->completed_counts(),
-                    std::move(profile));
-  }
-  RunResult result;
-  result.host_seconds = region_s;
-  if (recorder != nullptr) {
-    result.profile = std::make_shared<const RunProfile>(
-        recorder->finish(result.host_seconds));
-  }
-  return result;
-}
-
-/// The pre-pool execution path: spawn fresh jthreads for members
-/// 1..n-1, run member 0 on the caller as the pool does, and join at the
-/// end. Still used when the config opts out of the pool and when a
-/// nested/concurrent region finds the pool busy.
-RunResult host_parallel_spawn(const ParallelConfig& config,
-                              const std::function<void(TeamContext&)>& body) {
-  const int num_threads = config.num_threads;
-  HostTeam team(num_threads);
-  std::unique_ptr<TraceRecorder> recorder;
-  if (config.record_trace) {
-    recorder =
-        std::make_unique<TraceRecorder>(num_threads, TraceClock::HostSteady);
-    team.tracer = recorder.get();
-  }
-  ObserverAttach observer_attach(config, recorder.get());
-  PoolObserverAttach pool_attach(recorder.get());
-  g_spawned_regions.fetch_add(1, std::memory_order_relaxed);
-  std::unique_ptr<RegionGovernor> governor = RegionGovernor::for_region(
-      config.cancel_token, config.deadline_s, config.chaos, num_threads);
-  if (governor != nullptr) {
-    team.governor = governor.get();
-    governor->abort_team = [&team] { team.barrier.abort(); };
-  }
-
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(num_threads));
-
-  const auto start = std::chrono::steady_clock::now();
-  team.trace_epoch = start;
-  {
-    std::vector<std::jthread> members;
-    members.reserve(static_cast<std::size_t>(num_threads - 1));
-    for (int tid = 1; tid < num_threads; ++tid) {
-      members.emplace_back(
-          [&team, &errors, &body, tid] { run_member(team, tid, body, errors); });
-    }
-    run_member(team, 0, body, errors);
-  }  // jthreads join here
-  const auto end = std::chrono::steady_clock::now();
-  return finish_region(errors, start, end, recorder.get(), governor.get());
-}
-
 /// How long threads yield-spin before touching the kernel. Workers spin
 /// kParkSpins yields after a region before parking on the condvar, and
 /// the caller spins kDoneSpins yields before sleeping for region end —
@@ -577,10 +507,11 @@ RunResult host_parallel_spawn(const ParallelConfig& config,
 constexpr int kParkSpins = 2048;
 constexpr int kDoneSpins = 4096;
 
-/// The process-wide persistent worker pool behind host_parallel.
+/// One persistent worker team behind host_parallel. A pool serves one
+/// region at a time; PoolRegistry hands each region an idle one.
 ///
 /// Handoff protocol: the caller — always team member 0 — resets the
-/// shared HostTeam, publishes (body, errors, active width) under mu_,
+/// pool's HostTeam, publishes (body, errors, active width) under mu_,
 /// bumps generation_, and runs its own member inline. Worker `slot` runs
 /// as tid slot + 1: it spins briefly, then parks on its own condvar until
 /// the generation moves with slot < active_, runs its member, and
@@ -591,11 +522,11 @@ constexpr int kDoneSpins = 4096;
 /// fetch_subs form one release sequence), so reset and rethrow race with
 /// nothing.
 ///
-/// A region owns the whole pool: host_parallel acquires busy_ first and
-/// nested or concurrent regions that find it taken take the spawn path,
-/// so the protocol never sees two regions at once. Workers beyond the
-/// current region's width stay parked (their slot fails the slot <
-/// active_ check) and teams can shrink and regrow freely between regions.
+/// Only the region holding the pool (taken from and given back to
+/// PoolRegistry under its mutex) runs the protocol, so it never sees two
+/// regions at once. Workers beyond the current region's width stay
+/// parked (their slot fails the slot < active_ check) and teams can
+/// shrink and regrow freely between regions.
 /// Each worker parks on its own condvar so a narrow region on a wide pool
 /// wakes only the workers it uses — with one shared condvar, every
 /// region's notify would context-switch each parked high slot just to
@@ -603,34 +534,15 @@ constexpr int kDoneSpins = 4096;
 /// team ever seen instead of the team being launched.
 class TeamPool {
  public:
-  static TeamPool& instance() {
-    static TeamPool pool;
-    return pool;
-  }
+  TeamPool() = default;
+  TeamPool(const TeamPool&) = delete;
+  TeamPool& operator=(const TeamPool&) = delete;
 
-  /// Claim exclusive use of the pool; pair with release(). Fails (without
-  /// blocking) when another region is running on it.
-  bool try_acquire() {
-    return !busy_.exchange(true, std::memory_order_acquire);
-  }
-
-  void release() { busy_.store(false, std::memory_order_release); }
-
-  /// Pre-spawn workers for teams of up to `num_threads`. Skipped when the
-  /// pool is busy — the running region already paid for its workers.
-  void warm(int num_threads) {
-    if (!try_acquire()) {
-      return;
-    }
-    ensure_workers(num_threads - 1);
-    release();
-  }
-
-  /// Run one region. Caller must hold the pool via try_acquire().
+  /// Run one region. The caller must hold the pool (PoolRegistry::take).
   RunResult run_acquired(const ParallelConfig& config,
                          const std::function<void(TeamContext&)>& body) {
     const int num_threads = config.num_threads;
-    ensure_workers(num_threads - 1);
+    const bool started_threads = ensure_workers(num_threads - 1);
 
     std::unique_ptr<TraceRecorder> recorder;
     if (config.record_trace) {
@@ -639,7 +551,8 @@ class TeamPool {
     }
     ObserverAttach observer_attach(config, recorder.get());
     PoolObserverAttach pool_attach(recorder.get());
-    pooled_regions_.fetch_add(1, std::memory_order_relaxed);
+    (started_threads ? g_spawned_regions : g_pooled_regions)
+        .fetch_add(1, std::memory_order_relaxed);
     std::unique_ptr<RegionGovernor> governor = RegionGovernor::for_region(
         config.cancel_token, config.deadline_s, config.chaos, num_threads);
     if (governor != nullptr) {
@@ -668,22 +581,32 @@ class TeamPool {
       run_member(team_, 0, body, errors);
       wait_for_workers();
     }
-    const auto end = std::chrono::steady_clock::now();
+    const double region_s = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
     // A cancelled (or failed) region leaves the pool reusable by
     // construction: every member has exited (unfinished_ drained above),
     // and the next region's reset() re-arms the aborted barrier and the
-    // dirtied worksharing slots before anything runs.
-    return finish_region(errors, start, end, recorder.get(), governor.get());
-  }
-
-  /// Pool-side fields of a PoolSnapshot (the live counters and the spawn
-  /// fallback count come from elsewhere). Plain relaxed loads: each field
-  /// is an independent monotonic counter or flag, and the snapshot is a
-  /// dashboard read, not a synchronization point.
-  void fill(PoolSnapshot& snap) const {
-    snap.workers = worker_count_.load(std::memory_order_relaxed);
-    snap.busy = busy_.load(std::memory_order_relaxed);
-    snap.pooled_regions = pooled_regions_.load(std::memory_order_relaxed);
+    // dirtied worksharing slots before anything runs. Real errors win
+    // over cancellation: a body that threw mid-drain (or a ChaosInjected)
+    // is what the caller must see first.
+    for (const auto& error : errors) {
+      if (error != nullptr) {
+        std::rethrow_exception(error);
+      }
+    }
+    std::shared_ptr<const RunProfile> profile;
+    if (recorder != nullptr) {
+      profile = std::make_shared<const RunProfile>(recorder->finish(region_s));
+    }
+    if (governor != nullptr && governor->fired()) {
+      throw Cancelled(governor->cause(), governor->completed_counts(),
+                      std::move(profile));
+    }
+    RunResult result;
+    result.host_seconds = region_s;
+    result.profile = std::move(profile);
+    return result;
   }
 
   ~TeamPool() {
@@ -699,12 +622,11 @@ class TeamPool {
     }
   }
 
- private:
-  TeamPool() = default;
-
-  void ensure_workers(int count) {
+  /// Spawn workers until the pool can run teams of `count` + 1 members.
+  /// Returns whether it started any thread.
+  bool ensure_workers(int count) {
     if (static_cast<int>(workers_.size()) >= count) {
-      return;
+      return false;
     }
     {
       // Grow the condvar vector under mu_: already-running workers index
@@ -719,11 +641,12 @@ class TeamPool {
     while (static_cast<int>(workers_.size()) < count) {
       const int slot = static_cast<int>(workers_.size());
       workers_.emplace_back([this, slot] { worker_main(slot); });
-      worker_count_.store(static_cast<int>(workers_.size()),
-                          std::memory_order_relaxed);
+      g_workers.fetch_add(1, std::memory_order_relaxed);
     }
+    return true;
   }
 
+ private:
   void worker_main(int slot) {
     std::uint64_t seen = 0;
     for (;;) {
@@ -778,37 +701,84 @@ class TeamPool {
     });
   }
 
-  std::atomic<bool> busy_{false};
   HostTeam team_{1};
-  std::atomic<std::uint64_t> pooled_regions_{0};
-  /// Mirrors workers_.size(); workers_ itself grows outside mu_ (only the
-  /// region holding the pool touches it), so snapshots read this instead.
-  std::atomic<int> worker_count_{0};
 
   std::mutex mu_;
   // One park condvar per worker slot (stable addresses via unique_ptr);
   // region launch notifies exactly the slots it activates.
   std::vector<std::unique_ptr<std::condition_variable>> work_cvs_;
   std::condition_variable done_cv_;
-  std::vector<std::thread> workers_;  // worker at slot s runs as tid s + 1
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<bool> shutdown_{false};
   std::atomic<int> unfinished_{0};
   int active_ = 0;  // workers participating in the current region
   const std::function<void(TeamContext&)>* body_ = nullptr;
   std::vector<std::exception_ptr>* errors_ = nullptr;
+  // Worker at slot s runs as tid s + 1. Grows outside mu_: only the
+  // region holding the pool touches it.
+  std::vector<std::thread> workers_;
+};
+
+/// Owns every TeamPool the process has built and keeps the idle ones on
+/// a LIFO stack, so nested regions and regions of concurrent callers each
+/// run on their own pool, and a region takes the pool released most
+/// recently — the one whose workers are most likely still spinning.
+class PoolRegistry {
+ public:
+  static PoolRegistry& instance() {
+    static PoolRegistry registry;
+    return registry;
+  }
+
+  /// An idle pool, or a fresh empty one if every pool is in use. The
+  /// caller holds it until give_back.
+  TeamPool& take() {
+    std::lock_guard lk(mu_);
+    if (idle_.empty()) {
+      all_.push_back(std::make_unique<TeamPool>());
+      // Room for every pool on the stack, so give_back never allocates.
+      idle_.reserve(all_.size());
+      return *all_.back();
+    }
+    TeamPool* pool = idle_.back();
+    idle_.pop_back();
+    return *pool;
+  }
+
+  void give_back(TeamPool& pool) {
+    std::lock_guard lk(mu_);
+    idle_.push_back(&pool);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<TeamPool>> all_;
+  std::vector<TeamPool*> idle_;
+};
+
+/// A pool taken from the registry for one scope; given back on every
+/// exit path, exceptions and rt::Cancelled included.
+struct PoolLease {
+  TeamPool& pool;
+
+  PoolLease() : pool(PoolRegistry::instance().take()) {}
+  ~PoolLease() { PoolRegistry::instance().give_back(pool); }
+  PoolLease(const PoolLease&) = delete;
+  PoolLease& operator=(const PoolLease&) = delete;
 };
 
 }  // namespace
 
 void warm_host_pool(int num_threads) {
   util::require(num_threads >= 1, "warm_host_pool: need at least one thread");
-  TeamPool::instance().warm(num_threads);
+  PoolLease lease;
+  lease.pool.ensure_workers(num_threads - 1);
 }
 
 PoolSnapshot pool_snapshot() {
   PoolSnapshot snap;
-  TeamPool::instance().fill(snap);
+  snap.workers = g_workers.load(std::memory_order_relaxed);
+  snap.pooled_regions = g_pooled_regions.load(std::memory_order_relaxed);
   snap.spawned_regions = g_spawned_regions.load(std::memory_order_relaxed);
   snap.live = pool_observer().totals();
   return snap;
@@ -819,18 +789,8 @@ RunResult host_parallel(const ParallelConfig& config,
   util::require(config.num_threads >= 1,
                 "host_parallel: need at least one thread");
   util::require(body != nullptr, "host_parallel: body must be callable");
-
-  if (config.use_pool) {
-    TeamPool& pool = TeamPool::instance();
-    if (pool.try_acquire()) {
-      struct Release {
-        TeamPool& pool;
-        ~Release() { pool.release(); }
-      } release{pool};
-      return pool.run_acquired(config, body);
-    }
-  }
-  return host_parallel_spawn(config, body);
+  PoolLease lease;
+  return lease.pool.run_acquired(config, body);
 }
 
 }  // namespace pblpar::rt

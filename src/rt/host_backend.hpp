@@ -64,29 +64,28 @@ class AbortableBarrier {
 /// With config.record_trace set, attaches a RunProfile stamped on the
 /// host steady clock to the result.
 ///
-/// With config.use_pool (the default) the region runs on the process-wide
-/// persistent worker pool: the calling thread is always member 0 and
-/// num_threads - 1 pool workers — spawned on first use, parked between
-/// regions, re-used thereafter — are the rest. Nested or concurrent
-/// regions that find the pool busy fall back to spawning fresh threads for
-/// members 1..n-1 (the caller is member 0 there too), so pooling never
-/// changes which programs are valid, only how fast regions launch.
+/// Every region runs on a persistent worker pool: the calling thread is
+/// always member 0 and num_threads - 1 pool workers — spawned on first
+/// use, parked between regions, re-used thereafter — are the rest. The
+/// region takes an idle pool from a process-wide stack (building one if
+/// none is idle) and gives it back at the end, so nested regions and
+/// regions of concurrent callers each get a pool of their own.
 RunResult host_parallel(const ParallelConfig& config,
                         const std::function<void(TeamContext&)>& body);
 
-/// Pre-spawn the persistent pool's workers for teams of up to
-/// `num_threads` (i.e. num_threads - 1 workers). Call before a timed or
-/// latency-sensitive section so the first region does not pay thread
-/// creation. No-op if the pool is already at least that wide.
+/// Pre-spawn workers for teams of up to `num_threads` (i.e.
+/// num_threads - 1 workers) on the idle pool the next region will take.
+/// Call before a timed or latency-sensitive section so the first region
+/// does not pay thread creation. No-op if that pool is already at least
+/// that wide.
 void warm_host_pool(int num_threads);
 
-/// One wait-free-read view of the process-wide worker pool, for dashboards
-/// and benches sampling from outside any region.
+/// One wait-free-read view of the worker pools, summed over every pool,
+/// for dashboards and benches sampling from outside any region.
 struct PoolSnapshot {
-  int workers = 0;   // persistent workers currently spawned (excl. callers)
-  bool busy = false;  // a region holds the pool right now
-  std::uint64_t pooled_regions = 0;   // regions that ran on the pool
-  std::uint64_t spawned_regions = 0;  // regions that fell back to spawning
+  int workers = 0;  // persistent workers spawned (excl. callers)
+  std::uint64_t pooled_regions = 0;   // regions that started no thread
+  std::uint64_t spawned_regions = 0;  // regions that started threads
 
   /// Coherent whole-region totals of the traced region currently running
   /// on the backend, aggregated from the per-thread seqlocked live
@@ -95,7 +94,7 @@ struct PoolSnapshot {
   LiveTotals live;
 };
 
-/// Sample the pool. Safe from any thread at any time; never blocks a
+/// Sample the pools. Safe from any thread at any time; never blocks a
 /// running region — readers take a shared handover lock the regions only
 /// write-touch at start/end, and the counter sample itself is the
 /// seqlock-retry read documented on TraceRecorder::live_totals.

@@ -44,7 +44,7 @@ RunResult parallel_for(const ParallelConfig& config, Range range,
 }
 
 void warm_up(const ParallelConfig& config) {
-  if (config.backend == BackendKind::Host && config.use_pool) {
+  if (config.backend == BackendKind::Host) {
     warm_host_pool(config.num_threads);
   }
 }

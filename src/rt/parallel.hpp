@@ -27,9 +27,9 @@ RunResult parallel_for(const ParallelConfig& config, Range range,
 
 /// Pre-create the execution resources `config` will use so the first
 /// region does not pay one-time setup inside a timed section: for a
-/// pooled Host config this spawns the persistent pool's workers (they
-/// then park until the first region). A no-op for Sim configs (virtual
-/// threads are free) and for configs that opted out of the pool.
+/// Host config this spawns the persistent pool's workers (they then park
+/// until the first region). A no-op for Sim configs (virtual threads are
+/// free).
 void warm_up(const ParallelConfig& config);
 
 }  // namespace pblpar::rt

@@ -123,7 +123,7 @@ struct TenantConfig {
 
 struct ServerOptions {
   /// Concurrent job executors. Each lane runs one job at a time; jobs go
-  /// wide internally via JobOptions::threads on the shared rt::TeamPool.
+  /// wide internally via JobOptions::threads on rt's pooled host teams.
   int lanes = 2;
 
   /// Max jobs admitted-but-not-yet-dispatched, across all tenants. The
@@ -171,8 +171,8 @@ struct ServerStats {
   std::vector<TenantStats> tenants;
 };
 
-/// The campus server: a long-running multi-tenant front door over the
-/// process-wide rt::TeamPool. Thousands of concurrent submissions from
+/// The campus server: a long-running multi-tenant front door over rt's
+/// pooled host teams. Thousands of concurrent submissions from
 /// many tenants flow through one bounded admission queue and a
 /// starvation-free weighted fair-share (stride) scheduler onto a fixed
 /// set of executor lanes; every job gets a CancelSource, a service-time

@@ -64,18 +64,27 @@ TEST(CancelTest, TokenCancelOnPooledHostLeavesPoolReusable) {
   expect_pool_still_works(base);
 }
 
-TEST(CancelTest, UnpooledSpawnRegionCancelsToo) {
+TEST(CancelTest, PreCancelledNestedRegionCancelsOnItsOwnTeam) {
+  // Each member of a running outer region starts a pre-cancelled inner
+  // region on a second team: every inner member stops at its first claim,
+  // and only the inner regions throw.
   CancelSource source;
-  source.cancel();  // pre-cancelled: every member stops at its first claim
-  try {
-    parallel_for(
-        ParallelConfig::host(3).unpooled().cancellable(source.token()),
-        Range::upto(1000), Schedule::dynamic(1), [](std::int64_t) {});
-    FAIL() << "expected rt::Cancelled";
-  } catch (const Cancelled& cancelled) {
-    EXPECT_EQ(cancelled.cause(), CancelCause::Token);
-    EXPECT_EQ(cancelled.total_completed(), 0);
-  }
+  source.cancel();
+  std::atomic<int> inner_cancelled{0};
+  parallel(ParallelConfig::host(2), [&](TeamContext&) {
+    try {
+      parallel_for(ParallelConfig::host(3).cancellable(source.token()),
+                   Range::upto(1000), Schedule::dynamic(1),
+                   [](std::int64_t) {});
+    } catch (const Cancelled& cancelled) {
+      EXPECT_EQ(cancelled.cause(), CancelCause::Token);
+      EXPECT_EQ(cancelled.completed_iterations().size(), 3u);
+      EXPECT_EQ(cancelled.total_completed(), 0);
+      inner_cancelled.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(inner_cancelled.load(), 2);
+  expect_pool_still_works(ParallelConfig::host(3));
 }
 
 TEST(CancelTest, DeadlineFiresOnHost) {

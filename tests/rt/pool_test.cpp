@@ -1,8 +1,8 @@
-// Persistent worker-pool coverage: host regions reuse one parked team
+// Persistent worker-pool coverage: host regions reuse parked teams
 // across calls, so these tests pin down exactly the properties reuse
 // could break — thread identity across regions, worksharing/barrier
 // state re-arming, exception propagation leaving the pool usable, team
-// width shrinking and regrowing, and the spawn fallback for nested or
+// width shrinking and regrowing, and a pool of their own for nested or
 // concurrent regions. The stress cases double as the TSan workload for
 // the handoff protocol (this file runs under the rt ctest label, which
 // the tsan preset includes).
@@ -130,9 +130,9 @@ TEST(TeamPoolTest, ExceptionPropagatesAndPoolStaysUsable) {
   }
 }
 
-TEST(TeamPoolTest, NestedRegionFallsBackToSpawnedTeam) {
-  // An inner host region started while the pool is busy with the outer
-  // one must still work (on freshly spawned threads) from any member.
+TEST(TeamPoolTest, NestedRegionRunsFromEveryMember) {
+  // An inner host region started while the outer one holds its pool must
+  // still work (on a pool of its own) from any member.
   std::atomic<std::int64_t> inner_total{0};
   parallel(ParallelConfig::host(2), [&](TeamContext& outer) {
     std::atomic<std::int64_t> inner_sum{0};
@@ -147,21 +147,9 @@ TEST(TeamPoolTest, NestedRegionFallsBackToSpawnedTeam) {
   EXPECT_EQ(inner_total.load(), 6);  // both outer members ran an inner region
 }
 
-TEST(TeamPoolTest, SpawnFallbackRunsMemberZeroOnTheCaller) {
-  // Unpooled: member 0 is the caller, as in a pooled region.
-  for (const int threads : {1, 3}) {
-    std::map<int, std::thread::id> ids;
-    std::mutex mu;
-    parallel(ParallelConfig::host(threads).unpooled(), [&](TeamContext& tc) {
-      std::lock_guard guard(mu);
-      ids[tc.thread_num()] = std::this_thread::get_id();
-    });
-    ASSERT_EQ(ids.size(), static_cast<std::size_t>(threads));
-    EXPECT_EQ(ids.at(0), std::this_thread::get_id());
-  }
-  // Nested in a pooled region, so the pool is busy: each outer member is
-  // member 0 of its inner region, and a 1-wide inner region spawns
-  // nothing.
+TEST(TeamPoolTest, NestedRegionRunsMemberZeroOnTheCaller) {
+  // Each outer member is member 0 of its inner region, and a 1-wide
+  // inner region runs on the caller alone.
   std::atomic<int> inner_on_caller{0};
   std::atomic<int> narrow_on_caller{0};
   parallel(ParallelConfig::host(2), [&](TeamContext&) {
@@ -181,10 +169,32 @@ TEST(TeamPoolTest, SpawnFallbackRunsMemberZeroOnTheCaller) {
   EXPECT_EQ(narrow_on_caller.load(), 2);
 }
 
+TEST(TeamPoolTest, RepeatedNestedRegionStartsNoThreads) {
+  // A 2x2 nested region whose two inner regions always overlap: the first
+  // run builds a pool per inner region, the second reuses them.
+  auto nested = [] {
+    std::atomic<int> inner_running{0};
+    parallel(ParallelConfig::host(2), [&](TeamContext&) {
+      parallel(ParallelConfig::host(2), [&](TeamContext& inner) {
+        if (inner.thread_num() == 0) {
+          inner_running.fetch_add(1);
+          while (inner_running.load() < 2) {
+            std::this_thread::yield();
+          }
+        }
+      });
+    });
+  };
+  nested();
+  const std::uint64_t spawned = pool_snapshot().spawned_regions;
+  nested();
+  EXPECT_EQ(pool_snapshot().spawned_regions, spawned);
+}
+
 TEST(TeamPoolTest, ConcurrentRegionsFromIndependentThreadsStayCorrect) {
-  // Two plain std::threads each run a stream of host regions. Whichever
-  // loses the race for the pool must transparently spawn; every region
-  // must still compute the right answer.
+  // Two plain std::threads each run a stream of host regions, each on
+  // whichever idle pool it takes; every region must compute the right
+  // answer.
   constexpr int kRegions = 25;
   std::atomic<int> wrong{0};
   auto stream = [&] {
@@ -208,16 +218,39 @@ TEST(TeamPoolTest, ConcurrentRegionsFromIndependentThreadsStayCorrect) {
   EXPECT_EQ(wrong.load(), 0);
 }
 
-TEST(TeamPoolTest, UnpooledConfigSpawnsAndStillWorks) {
-  const ParallelConfig config = ParallelConfig::host(4).unpooled();
-  EXPECT_FALSE(config.use_pool);
-  std::vector<int> visits(4, 0);
-  std::mutex mu;
-  parallel(config, [&](TeamContext& tc) {
-    std::lock_guard guard(mu);
-    visits[static_cast<std::size_t>(tc.thread_num())] += 1;
-  });
-  EXPECT_EQ(visits, (std::vector<int>{1, 1, 1, 1}));
+TEST(TeamPoolTest, ConcurrentCallersStartNoThreadsAfterOneOverlappingRound) {
+  // Warm-up round: both callers hold a 2-wide region at the same time, so
+  // two pools with a worker each end up on top of the idle stack. After
+  // that, two colliding streams of 2-wide regions only ever take those
+  // two, and no region pays thread creation.
+  std::atomic<int> holding{0};
+  auto overlap = [&] {
+    parallel(ParallelConfig::host(2), [&](TeamContext& tc) {
+      if (tc.thread_num() == 0) {
+        holding.fetch_add(1);
+        while (holding.load() < 2) {
+          std::this_thread::yield();
+        }
+      }
+    });
+  };
+  std::thread warm_a(overlap);
+  std::thread warm_b(overlap);
+  warm_a.join();
+  warm_b.join();
+
+  const std::uint64_t spawned = pool_snapshot().spawned_regions;
+  constexpr int kRegions = 25;
+  auto stream = [] {
+    for (int r = 0; r < kRegions; ++r) {
+      parallel(ParallelConfig::host(2), [](TeamContext&) {});
+    }
+  };
+  std::thread a(stream);
+  std::thread b(stream);
+  a.join();
+  b.join();
+  EXPECT_EQ(pool_snapshot().spawned_regions, spawned);
 }
 
 TEST(TeamPoolTest, WarmUpIsIdempotentAndRegionsRunAfterIt) {

@@ -29,14 +29,18 @@ std::vector<std::string> sample_documents() {
 
 /// A job that parks its lane until release() — the tests' way of filling
 /// the queue deterministically before any scheduling decision is made.
-/// Polls its cancel token so shutdown still drains it.
+/// Submit it, then wait_started() before queueing anything behind it:
+/// until the lane has dispatched the gate, a job queued after it could
+/// win the dispatch. Polls its cancel token so shutdown still drains it.
 struct Gate {
+  std::atomic<bool> started{false};
   std::atomic<bool> open{false};
 
   Job job() {
     Job gate_job;
     gate_job.kind = "gate";
     gate_job.run = [this](JobContext& context) {
+      started.store(true, std::memory_order_release);
       while (!open.load(std::memory_order_acquire) &&
              !context.cancel_token().cancel_requested()) {
         std::this_thread::yield();
@@ -44,6 +48,12 @@ struct Gate {
       return JobOutcome{};
     };
     return gate_job;
+  }
+
+  void wait_started() {
+    while (!started.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
   }
 
   void release() { open.store(true, std::memory_order_release); }
@@ -107,6 +117,7 @@ TEST(ServiceServerTest, StrideSchedulingIsWeightedAndDeterministic) {
   OrderLog log;
   Server server({{"alice", 3.0}, {"bob", 1.0}, {"ops", 1.0}}, one_lane());
   JobTicket gate_ticket = server.submit("ops", gate.job());
+  gate.wait_started();
   for (int i = 0; i < 6; ++i) {
     server.submit("alice", log.job("a" + std::to_string(i)));
   }
@@ -127,6 +138,7 @@ TEST(ServiceServerTest, PriorityOrdersWithinTenantFifoWithinPriority) {
   OrderLog log;
   Server server({{"alice", 1.0}, {"ops", 1.0}}, one_lane());
   server.submit("ops", gate.job());
+  gate.wait_started();
   JobOptions low;
   low.priority = 0;
   JobOptions high;
@@ -148,6 +160,7 @@ TEST(ServiceServerTest, HeavyTenantCannotStarveLightTenant) {
   Server server({{"heavy", 100.0}, {"light", 1.0}, {"ops", 1.0}},
                 one_lane());
   server.submit("ops", gate.job());
+  gate.wait_started();
   std::vector<JobTicket> heavy_tickets;
   for (int i = 0; i < 50; ++i) {
     heavy_tickets.push_back(server.submit("heavy", jobs::patternlet(16)));
@@ -170,9 +183,7 @@ TEST(ServiceServerTest, RejectPolicyShedsLoadWithRetryAfter) {
   JobTicket running = server.submit("alice", gate.job());
   // Wait until the gate actually occupies the lane, so exactly one
   // queue slot is in play.
-  while (running.status() == JobStatus::Queued) {
-    std::this_thread::yield();
-  }
+  gate.wait_started();
   JobTicket queued = server.submit("alice", jobs::patternlet(16));
   JobTicket shed = server.submit("alice", jobs::patternlet(16));
   const JobResult& rejected = shed.wait();
@@ -194,9 +205,7 @@ TEST(ServiceServerTest, BlockPolicyBackpressuresTheSubmitter) {
   options.admission = AdmissionPolicy::Block;
   Server server({{"alice", 1.0}}, options);
   JobTicket running = server.submit("alice", gate.job());
-  while (running.status() == JobStatus::Queued) {
-    std::this_thread::yield();
-  }
+  gate.wait_started();
   server.submit("alice", jobs::patternlet(16));  // fills the one slot
   std::atomic<bool> admitted{false};
   JobTicket blocked;
@@ -276,9 +285,7 @@ TEST(ServiceServerTest, ShutdownCancelsQueuedAndRunningJobs) {
   Gate gate;
   Server server({{"alice", 1.0}}, one_lane());
   JobTicket running = server.submit("alice", gate.job());
-  while (running.status() == JobStatus::Queued) {
-    std::this_thread::yield();
-  }
+  gate.wait_started();
   JobTicket queued = server.submit("alice", jobs::patternlet(64));
   server.shutdown();
   // The gate polls its token, so shutdown's cancel drains it; the queued
@@ -294,9 +301,7 @@ TEST(ServiceServerTest, InFlightAndDepthHighWatersTrackTheBurst) {
   Gate gate;
   Server server({{"alice", 1.0}, {"bob", 2.0}}, one_lane(4096));
   JobTicket running = server.submit("alice", gate.job());
-  while (running.status() == JobStatus::Queued) {
-    std::this_thread::yield();
-  }
+  gate.wait_started();
   for (int i = 0; i < 50; ++i) {
     server.submit(i % 2 == 0 ? "alice" : "bob", jobs::patternlet(8));
   }
@@ -381,6 +386,7 @@ TEST(ServiceAdapterTest, MapReduceWordCountRunsAndSalvagesOnCancel) {
   Gate gate;
   Server gated({{"lab", 1.0}, {"ops", 1.0}}, one_lane());
   gated.submit("ops", gate.job());
+  gate.wait_started();
   JobTicket cancelled =
       gated.submit("lab", jobs::mapreduce_word_count(sample_documents()));
   cancelled.cancel();
