@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "mp/buffer.hpp"
-#include "mp/collectives.hpp"
 #include "mp/message.hpp"
 #include "util/error.hpp"
 
@@ -46,7 +45,7 @@ struct WireStats {
 /// on top of it. Point-to-point sends are buffered (never block);
 /// receives block until a matching message arrives or the world's
 /// timeout expires. Collectives must be called by every rank, in the same
-/// order; the algorithms live in mp/collectives.hpp.
+/// order; their algorithms live in mp/collectives.{hpp,cpp}.
 class Endpoint {
  public:
   virtual ~Endpoint();
@@ -150,75 +149,59 @@ class Endpoint {
   }
 
   // --- collectives ------------------------------------------------------------
+  // The byte-level members are compiled in mp/collectives.cpp; the typed
+  // ones are defined in mp/collectives.hpp, included below.
 
   void barrier();
 
   template <class T>
-  void bcast(T& value, int root = 0) {
-    detail::bcast(*this, value, root);
-  }
+  void bcast(T& value, int root = 0);
 
   /// Raw payload broadcast: root's buffer in, every rank's buffer out.
+  /// Zero-copy at non-root ranks for small payloads (the received frame
+  /// is kept), one assembly copy above the pipeline threshold.
   void bcast_raw(Buffer& payload, int root = 0);
 
   template <class T, class Op>
-  T reduce(const T& value, Op op, int root = 0) {
-    return detail::reduce(*this, value, op, root);
-  }
+  T reduce(const T& value, Op op, int root = 0);
 
   template <class T, class Op>
-  T allreduce(const T& value, Op op) {
-    return detail::allreduce(*this, value, op);
-  }
+  T allreduce(const T& value, Op op);
 
   /// In-place element-wise reduction of equal-length vectors, pipelined
   /// in segments above the pipeline threshold. Root's vector holds the
   /// result.
   template <class U, class Op>
-  void reduce_elementwise(std::vector<U>& data, Op op, int root = 0) {
-    detail::reduce_elementwise(*this, data, op, root);
-  }
+  void reduce_elementwise(std::vector<U>& data, Op op, int root = 0);
 
   template <class U, class Op>
-  void allreduce_elementwise(std::vector<U>& data, Op op) {
-    detail::allreduce_elementwise(*this, data, op);
-  }
+  void allreduce_elementwise(std::vector<U>& data, Op op);
 
   template <class T>
-  T scatter(const std::vector<T>& values, int root = 0) {
-    return detail::scatter(*this, values, root);
-  }
+  T scatter(const std::vector<T>& values, int root = 0);
 
   /// Zero-copy scatter of pre-built payload blobs (one Buffer per rank).
   Buffer scatter_raw(std::vector<Buffer> blobs, int root = 0);
 
   template <class T>
-  std::vector<T> gather(const T& value, int root = 0) {
-    return detail::gather(*this, value, root);
-  }
+  std::vector<T> gather(const T& value, int root = 0);
 
   /// Zero-copy gather of payload blobs; non-root ranks return empty.
   std::vector<Buffer> gather_raw(Buffer blob, int root = 0);
 
   template <class T>
-  std::vector<T> allgather(const T& value) {
-    return detail::allgather(*this, value);
-  }
+  std::vector<T> allgather(const T& value);
 
   /// Zero-copy allgather: move this rank's vector in, get a read-only
   /// view of every rank's elements back. All views alias the one packed
   /// broadcast frame — no per-rank decode copies.
   template <class U>
-  std::vector<PayloadView<U>> allgather_view(std::vector<U>&& values) {
-    return detail::allgather_view(*this, std::move(values));
-  }
+  std::vector<PayloadView<U>> allgather_view(std::vector<U>&& values);
 
   /// In-place ring allreduce for any element count (uneven segments) and
   /// any trivially copyable element.
   template <class U, class Op>
-  void ring_allreduce(std::vector<U>& data, Op op) {
-    detail::ring_allreduce(*this, data, op);
-  }
+  void ring_allreduce(std::vector<U>& data, Op op);
 
   std::vector<double> ring_allreduce_sum(std::vector<double> data);
 
@@ -237,3 +220,6 @@ class Endpoint {
 };
 
 }  // namespace pblpar::mp
+
+// Definitions of the typed collective members.
+#include "mp/collectives.hpp"

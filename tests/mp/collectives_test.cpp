@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mp/sim_world.hpp"
@@ -226,6 +229,46 @@ TEST_P(HostCollectiveTest, RawScatterGatherRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, HostCollectiveTest,
                          ::testing::Values(1, 3, 5, 6, 8));
+
+// --- Element-wise collectives on vectors of different lengths ------------
+
+enum class Elementwise { kReduce, kRing };
+
+class ElementwiseLengthMismatchTest
+    : public ::testing::TestWithParam<std::tuple<Elementwise, int>> {};
+
+TEST_P(ElementwiseLengthMismatchTest, LongerVectorOnOneRankFailsTheCall) {
+  const Elementwise kind = std::get<0>(GetParam());
+  const int ranks = std::get<1>(GetParam());
+  const auto add = [](double a, double b) { return a + b; };
+  // The last rank holds 2000x the elements of the others: a fold or copy
+  // that trusted the incoming length would write far past a short vector.
+  EXPECT_THROW(
+      World::run(ranks,
+                 [kind, add](Comm& comm) {
+                   std::vector<double> data(
+                       comm.rank() == comm.size() - 1 ? 4000 : 2, 1.0);
+                   if (kind == Elementwise::kReduce) {
+                     comm.reduce_elementwise(data, add, 0);
+                   } else {
+                     comm.ring_allreduce(data, add);
+                   }
+                 },
+                 fast_timeout()),
+      util::PreconditionError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CollectivesAndRankCounts, ElementwiseLengthMismatchTest,
+    ::testing::Combine(::testing::Values(Elementwise::kReduce,
+                                         Elementwise::kRing),
+                       ::testing::Values(2, 3)),
+    [](const ::testing::TestParamInfo<std::tuple<Elementwise, int>>& info) {
+      return std::string(std::get<0>(info.param) == Elementwise::kReduce
+                             ? "ReduceElementwise"
+                             : "RingAllreduce") +
+             std::to_string(std::get<1>(info.param)) + "Ranks";
+    });
 
 // --- Zero-copy accounting ----------------------------------------------
 
@@ -535,6 +578,90 @@ TEST(SimCollectiveTest, RawPathsRunOnSimToo) {
       }
     }
   });
+}
+
+// --- Binomial tree and packed allgather frame ----------------------------
+
+TEST(BinomialTreeTest, ParentAtTheLowestSetBitChildrenBelowIt) {
+  // Six ranks rooted at 0: 0 -> {1, 2, 4}, 2 -> {3}, 4 -> {5}.
+  const std::vector<std::pair<int, std::vector<int>>> expected = {
+      {-1, {1, 2, 4}}, {0, {}}, {0, {3}}, {2, {}}, {0, {5}}, {4, {}}};
+  for (int rank = 0; rank < 6; ++rank) {
+    const detail::BinomialTree tree = detail::binomial_tree(rank, 0, 6);
+    EXPECT_EQ(tree.parent, expected[static_cast<std::size_t>(rank)].first)
+        << "rank " << rank;
+    EXPECT_EQ(tree.children, expected[static_cast<std::size_t>(rank)].second)
+        << "rank " << rank;
+  }
+  // The same tree shifted by the root: rooted at 3 of 5, relative rank
+  // r is absolute (r + 3) mod 5.
+  const detail::BinomialTree root = detail::binomial_tree(3, 3, 5);
+  EXPECT_EQ(root.parent, -1);
+  EXPECT_EQ(root.children, (std::vector<int>{4, 0, 2}));
+  const detail::BinomialTree last = detail::binomial_tree(2, 3, 5);
+  EXPECT_EQ(last.parent, 3);
+  EXPECT_TRUE(last.children.empty());
+}
+
+/// A packed allgather frame: each slice as a u64 length, then its bytes.
+Buffer pack_frame(const std::vector<std::string>& slices) {
+  std::vector<std::byte> bytes;
+  for (const std::string& slice : slices) {
+    const auto len = static_cast<std::uint64_t>(slice.size());
+    const auto* len_bytes = reinterpret_cast<const std::byte*>(&len);
+    bytes.insert(bytes.end(), len_bytes, len_bytes + sizeof(len));
+    const auto* data = reinterpret_cast<const std::byte*>(slice.data());
+    bytes.insert(bytes.end(), data, data + slice.size());
+  }
+  return Buffer::copy_of(bytes.data(), bytes.size());
+}
+
+TEST(PackedFrameTest, WellFormedFrameParsesBackExactly) {
+  const std::vector<std::string> slices = {"", "alpha", "", "b",
+                                           std::string(300, 'x'), ""};
+  const Buffer packed = pack_frame(slices);
+  std::size_t cursor = 0;
+  for (const std::string& slice : slices) {
+    const auto [offset, len] = detail::next_packed_slice(packed, cursor);
+    ASSERT_EQ(len, slice.size());
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(packed.data()) +
+                              offset,
+                          len),
+              slice);
+  }
+  EXPECT_EQ(cursor, packed.size());
+  EXPECT_THROW(detail::next_packed_slice(packed, cursor), MpTypeError);
+}
+
+TEST(PackedFrameTest, TruncatedLengthPrefixThrows) {
+  const Buffer whole = pack_frame({"abc", "defg"});
+  // Cut the second slice's 8-byte length prefix short.
+  const Buffer cut = whole.slice(0, sizeof(std::uint64_t) + 3 + 5);
+  std::size_t cursor = 0;
+  EXPECT_EQ(detail::next_packed_slice(cut, cursor).second, 3u);
+  EXPECT_THROW(detail::next_packed_slice(cut, cursor), MpTypeError);
+
+  std::size_t empty_cursor = 0;
+  EXPECT_THROW(detail::next_packed_slice(Buffer{}, empty_cursor),
+               MpTypeError);
+}
+
+TEST(PackedFrameTest, InflatedLengthThrowsAndAllocatesNothing) {
+  for (const std::uint64_t inflated :
+       {std::uint64_t{5}, std::uint64_t{1} << 40,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    Buffer packed = pack_frame({"abcd"});  // 4 bytes follow the prefix
+    std::memcpy(packed.mutable_data(), &inflated, sizeof(inflated));
+    const PoolStats pool_before = buffer_pool_stats();
+    const CopyStats copies_before = payload_copy_stats();
+    std::size_t cursor = 0;
+    EXPECT_THROW(detail::next_packed_slice(packed, cursor), MpTypeError)
+        << "length " << inflated;
+    const PoolStats pool_after = buffer_pool_stats();
+    EXPECT_EQ(pool_after.hits + pool_after.misses,
+              pool_before.hits + pool_before.misses);
+    EXPECT_EQ(payload_copy_stats().copies, copies_before.copies);
+  }
 }
 
 }  // namespace
