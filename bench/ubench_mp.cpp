@@ -23,6 +23,10 @@
 //   5. allgather message count — on the deterministic SimWorld, the new
 //      allgather must cost exactly 2(n-1) messages (O(n), down from
 //      n*ceil(log2 n)).
+//   6. segmented reduce_elementwise wire — on the SimWorld, a 3-segment
+//      reduce must cost exactly (n-1) messages per segment; the first
+//      segment's element-count header adds a few bytes per child, which
+//      the row reports.
 //
 // Timing bars only hold on an otherwise-idle box; --smoke (the
 // bench-smoke ctest) keeps every structural/counter check and drops the
@@ -388,6 +392,42 @@ MessageCountResult run_message_count(int ranks) {
   return result;
 }
 
+struct ReduceWireResult {
+  int ranks = 0;
+  std::uint64_t elements = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t expected_messages = 0;
+  std::uint64_t header_bytes_per_child = 0;
+  bool pass = false;
+};
+
+ReduceWireResult run_reduce_wire(int ranks) {
+  constexpr std::size_t kSegments = 3;
+  ReduceWireResult result;
+  result.ranks = ranks;
+  result.elements = kSegments * pblpar::mp::detail::kPipelineSegmentBytes /
+                    sizeof(double);
+  result.expected_messages =
+      static_cast<std::uint64_t>(ranks - 1) * kSegments;
+  const std::uint64_t elements = result.elements;
+  const pblpar::mp::ClusterReport report =
+      SimWorld::run(ranks, [elements](SimComm& comm) {
+        std::vector<double> data(elements, 1.0);
+        comm.reduce_elementwise(data,
+                                [](double a, double b) { return a + b; }, 0);
+        if (comm.rank() == 0 && data.back() != comm.size()) {
+          std::abort();
+        }
+      });
+  const std::uint64_t children = static_cast<std::uint64_t>(ranks - 1);
+  const std::uint64_t data_bytes = children * elements * sizeof(double);
+  result.messages = report.messages;
+  result.header_bytes_per_child =
+      (report.payload_bytes - data_bytes) / children;
+  result.pass = result.messages == result.expected_messages;
+  return result;
+}
+
 /// A speedup row: naive vs new, each the min over its repetitions.
 bench::Json speedup_json(const SpeedupRow& row) {
   bench::Json json = bench::Json::object(
@@ -454,12 +494,26 @@ int main(int argc, char** argv) {
                                            {"expected", messages.expected},
                                            {"pass", messages.pass}})));
 
+  // Expected: (n-1) messages per segment; the header bytes are reported.
+  const ReduceWireResult reduce_wire = run_reduce_wire(ranks);
+  doc.set("reduce_elementwise_wire",
+          bench::show("reduce_elementwise_wire",
+                      bench::Json::object(
+                          {{"ranks", reduce_wire.ranks},
+                           {"elements", reduce_wire.elements},
+                           {"messages", reduce_wire.messages},
+                           {"expected", reduce_wire.expected_messages},
+                           {"header_bytes_per_child",
+                            reduce_wire.header_bytes_per_child},
+                           {"pass", reduce_wire.pass}})));
+
   bench::Checks checks;
   checks.add("bcast>=2x", bcast.pass);
   checks.add("allgather>=2x", gather.pass);
   checks.add("copies<=1/hop", copies.pass);
   checks.add("ring_exact", ring.pass);
   checks.add("messages_linear", messages.pass);
+  checks.add("reduce_messages_per_segment", reduce_wire.pass);
   checks.print();
   doc.set("pass", checks.all());
   bench::write_json("BENCH_mp.json", doc);

@@ -106,9 +106,10 @@ std::vector<mp::Buffer> splice_partitions(
 /// blobs without decoding a pair. Output is byte-identical to
 /// mapreduce::Job with threads(1): the shuffle concatenates map-task
 /// buckets in task order, so each key's value list is in input order,
-/// grouping uses the same core (mapreduce::detail::group_and_apply)
-/// and the same std::hash partitioner, and the final sort uses the same
-/// comparator.
+/// the combiner and the reducer group with the same hash-grouping core
+/// (mapreduce::detail::group_and_apply: key-ordered groups, values in
+/// emission order), the partitioner is the same std::hash, and the
+/// final sort uses the same comparator.
 template <class K1, class V1, class K2, class V2, class VOut = V2>
 class DistJob {
  public:
@@ -329,11 +330,12 @@ class DistJob {
     const std::int64_t end = reader.i64();
 
     std::vector<Bucket> buckets(static_cast<std::size_t>(reducers));
+    mapreduce::Emitter<K2, V2> emitter;  // reused: clear() keeps the capacity
     for (std::int64_t i = begin; i < end; ++i) {
       ctx.charge(map_cost_ops_);
       ctx.progress();
       const auto& [key, value] = inputs[static_cast<std::size_t>(i)];
-      mapreduce::Emitter<K2, V2> emitter;
+      emitter.clear();
       map_fn_(key, value, emitter);
       for (auto& [k2, v2] : emitter.pairs()) {
         const std::size_t partition =

@@ -1,12 +1,14 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -74,30 +76,82 @@ class Emitter {
 
 namespace detail {
 
-/// Sort-then-run-length grouping over a flat pair vector: the shuffle
-/// core shared by the combiner and the reducer, of Job and of the
-/// distributed cluster::DistJob. stable_sort keeps equal keys in
-/// emission order, so each key's value list is byte-identical to what a
-/// std::map<K, std::vector<V>> grouping produces, without one node
-/// allocation per key.
+/// Hash grouping over a flat pair vector: the shuffle core shared by the
+/// combiner and the reducer, of Job and of the distributed
+/// cluster::DistJob. Appends fn(key, values) for every distinct key to
+/// `out`, in ascending key order, each key's values in emission order —
+/// exactly what a std::map<K, std::vector<V>> grouping produces. The key
+/// passed on is the group's first-emitted one. Consumes `flat`.
+///
+/// An open-addressing table (linear probing, load <= 1/2) maps each key
+/// to a group id; each group keeps its first and last pair index, and a
+/// per-pair `next` index chains a group's pairs in emission order. Only
+/// the k distinct keys are sorted, not the n pairs (and not even those
+/// when they arrive in key order, as grep's ascending document ids do).
+/// The four index arrays share one allocation; nothing is allocated per
+/// pair or per key.
 template <class K, class V, class Fn, class Out>
 void group_and_apply(std::vector<std::pair<K, V>>& flat, const Fn& fn,
                      std::vector<Out>& out) {
-  std::stable_sort(
-      flat.begin(), flat.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<V> values;
-  std::size_t i = 0;
-  while (i < flat.size()) {
-    std::size_t j = i;
-    values.clear();
-    while (j < flat.size() && !(flat[i].first < flat[j].first)) {
-      values.push_back(std::move(flat[j].second));
-      ++j;
+  using Index = std::uint32_t;
+  constexpr Index kNone = std::numeric_limits<Index>::max();
+  const std::size_t n = flat.size();
+  if (n == 0) {
+    return;
+  }
+  util::require(n < kNone,
+                "group_and_apply: more pairs than 32-bit indices can hold");
+
+  const int bits = std::bit_width(2 * n - 1);  // capacity 2^bits >= 2n
+  const std::size_t capacity = std::size_t{1} << bits;
+  const std::size_t mask = capacity - 1;
+  std::vector<Index> index(capacity + 3 * n, kNone);
+  Index* const slots = index.data();   // capacity group ids
+  Index* const next = slots + capacity;  // per pair
+  Index* const first = next + n;         // per group
+  Index* const last = first + n;         // per group
+  Index groups = 0;
+  const std::hash<K> hasher;
+  for (Index i = 0; i < n; ++i) {
+    const K& key = flat[i].first;
+    // Fibonacci mixing: identity hashes (int keys) spread over the
+    // table's high bits instead of clustering in its low ones.
+    std::size_t slot =
+        static_cast<std::size_t>((static_cast<std::uint64_t>(hasher(key)) *
+                                  0x9E3779B97F4A7C15ULL) >>
+                                 (64 - bits));
+    for (;; slot = (slot + 1) & mask) {
+      const Index group = slots[slot];
+      if (group == kNone) {
+        slots[slot] = groups;
+        first[groups] = i;
+        last[groups] = i;
+        ++groups;
+        break;
+      }
+      if (flat[first[group]].first == key) {
+        next[last[group]] = i;
+        last[group] = i;
+        break;
+      }
     }
-    auto result = fn(flat[i].first, values);
-    out.emplace_back(std::move(flat[i].first), std::move(result));
-    i = j;
+  }
+
+  const auto key_less = [&flat](Index a, Index b) {
+    return flat[a].first < flat[b].first;
+  };
+  if (!std::is_sorted(first, first + groups, key_less)) {
+    std::sort(first, first + groups, key_less);
+  }
+  std::vector<V> values;
+  for (Index g = 0; g < groups; ++g) {
+    const Index head = first[g];
+    values.clear();
+    for (Index j = head; j != kNone; j = next[j]) {
+      values.push_back(std::move(flat[j].second));
+    }
+    auto result = fn(flat[head].first, values);
+    out.emplace_back(std::move(flat[head].first), std::move(result));
   }
 }
 
@@ -109,8 +163,9 @@ void group_and_apply(std::vector<std::pair<K, V>>& flat, const Fn& fn,
 /// key's value list.
 ///
 /// K1/V1: input key/value. K2/V2: intermediate. VOut: reducer output
-/// (defaults to V2). K2 must be hashable (std::hash) and ordered
-/// (operator<); output is sorted by key, so runs are deterministic.
+/// (defaults to V2). K2 must be hashable (std::hash), equality-comparable
+/// (operator==) and ordered (operator<), and the three must agree; output
+/// is sorted by key, so runs are deterministic.
 template <class K1, class V1, class K2, class V2, class VOut = V2>
 class Job {
  public:
@@ -316,7 +371,7 @@ class Job {
         // are replayed in (worker, spill order, leftover-last) order at
         // reduce time — concatenating them reproduces this worker's
         // emission order, which is what makes the merged shuffle
-        // byte-identical to the in-memory flatten-then-stable_sort.
+        // byte-identical to the in-memory flatten-then-group.
         const auto spill_worker = [&]() {
           const double start_s = tc.trace_now();
           std::int64_t batch_runs = 0;
@@ -544,10 +599,11 @@ class Job {
   /// order) plus each worker's in-memory leftover bucket as the worker's
   /// final source. Every source is individually key-stable-sorted and the
   /// tree breaks ties by lower source index, so the merged stream equals
-  /// a stable_sort of the worker-order concatenation — i.e. exactly what
-  /// reduce_partition's flatten + detail::group_and_apply sees, record
-  /// for record. The grouping below is group_and_apply's run-length loop
-  /// in streaming form, so the reduced output is byte-identical.
+  /// a stable_sort of the worker-order concatenation: every key's pairs
+  /// arrive together, in key order, values in emission order. A
+  /// run-length pass over it therefore yields the groups that
+  /// reduce_partition's flatten + detail::group_and_apply yields, so the
+  /// reduced output is byte-identical.
   std::vector<std::pair<K2, VOut>> reduce_partition_spilled(
       rt::TeamContext& tc, std::vector<std::vector<BucketT>>& worker_buckets,
       const std::vector<std::vector<std::vector<ShuffleRun>>>& worker_runs,

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <string>
@@ -218,6 +219,12 @@ T Endpoint::allreduce(const T& value, Op op) {
 /// pipelined in segments: a rank folds segment s from every child, then
 /// forwards its partial segment s to its parent while later segments
 /// are still in flight. Only root's vector holds the full reduction.
+///
+/// The first segment opens with the sender's total element count
+/// (padded to the element alignment), checked before anything is
+/// folded: a rank longer or shorter by whole segments would otherwise
+/// send only segments of the expected size, and either leave its
+/// surplus queued for the next reduce or leave its parent waiting.
 template <class U, class Op>
 void Endpoint::reduce_elementwise(std::vector<U>& data, Op op, int root) {
   static_assert(std::is_trivially_copyable_v<U>);
@@ -225,6 +232,8 @@ void Endpoint::reduce_elementwise(std::vector<U>& data, Op op, int root) {
   if (size() == 1) {
     return;
   }
+  constexpr std::size_t kCountBytes =
+      std::max(sizeof(std::uint64_t), alignof(U));
   const detail::BinomialTree tree = detail::binomial_tree(rank(), root, size());
   const std::size_t n = data.size();
   const std::size_t seg =
@@ -239,8 +248,17 @@ void Endpoint::reduce_elementwise(std::vector<U>& data, Op op, int root) {
     // order.
     for (const int child : tree.children) {
       const RawMessage message = recv_raw(child, detail::kTagReduce);
-      const std::span<const U> incoming =
-          Codec<std::vector<U>>::view(message.payload);
+      ByteView bytes = message.payload.view();
+      if (s == 0) {
+        std::uint64_t total = 0;
+        util::require(bytes.size() >= kCountBytes,
+                      "reduce_elementwise: first segment lacks the count");
+        std::memcpy(&total, bytes.data(), sizeof(total));
+        util::require(total == n,
+                      "reduce_elementwise: ranks disagree on the element count");
+        bytes = bytes.subspan(kCountBytes);
+      }
+      const std::span<const U> incoming = Codec<std::vector<U>>::view(bytes);
       util::require(incoming.size() == count,
                     "reduce_elementwise: ranks disagree on the element count");
       for (std::size_t i = 0; i < count; ++i) {
@@ -248,8 +266,17 @@ void Endpoint::reduce_elementwise(std::vector<U>& data, Op op, int root) {
       }
     }
     if (tree.parent >= 0) {
+      const std::size_t header = s == 0 ? kCountBytes : 0;
+      Buffer frame = Buffer::uninitialized(header + count * sizeof(U));
+      if (s == 0) {
+        const auto total = static_cast<std::uint64_t>(n);
+        std::memset(frame.mutable_data(), 0, kCountBytes);
+        std::memcpy(frame.mutable_data(), &total, sizeof(total));
+      }
+      detail::copy_payload(frame.mutable_data() + header, data.data() + begin,
+                           count * sizeof(U));
       send_raw(tree.parent, detail::kTagReduce, detail::segment_hash(),
-               Buffer::copy_of(data.data() + begin, count * sizeof(U)));
+               std::move(frame));
     }
   }
 }

@@ -270,6 +270,37 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "Ranks";
     });
 
+// On Sim the element-wise reduce is segmented (kPipelineSegmentBytes is
+// 32 768 doubles), so these lengths differ by whole segments: every
+// segment either rank sends has the size the other expects, and only the
+// total count carried by the first segment tells them apart.
+TEST(ElementwiseSegmentCountTest, ChildLongerByWholeSegmentsFailsTheCall) {
+  EXPECT_THROW(SimWorld::run(2,
+                             [](SimComm& comm) {
+                               std::vector<double> data(
+                                   comm.rank() == 0 ? 32768 : 65536,
+                                   comm.rank() == 0 ? 1.0 : 100.0);
+                               comm.reduce_elementwise(
+                                   data,
+                                   [](double a, double b) { return a + b; },
+                                   0);
+                             }),
+               util::PreconditionError);
+}
+
+TEST(ElementwiseSegmentCountTest, RootLongerByWholeSegmentsFailsTheCall) {
+  EXPECT_THROW(SimWorld::run(2,
+                             [](SimComm& comm) {
+                               std::vector<double> data(
+                                   comm.rank() == 0 ? 65536 : 32768, 1.0);
+                               comm.reduce_elementwise(
+                                   data,
+                                   [](double a, double b) { return a + b; },
+                                   0);
+                             }),
+               util::PreconditionError);
+}
+
 // --- Zero-copy accounting ----------------------------------------------
 
 TEST(CopyDisciplineTest, RvalueSendToViewRecvCountsZeroCopies) {
